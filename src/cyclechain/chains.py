@@ -130,23 +130,6 @@ def from_orthogonal(indices: Iterable[int], eps: int) -> ChainSum:
     return ChainSum(out)
 
 
-def height(a: ChainSum) -> int:
-    return a.height
-
-
-def restrict_below(a: ChainSum, h: int, eps: int) -> ChainSum:
-    """Drop the orthogonal coordinates above h."""
-    return from_orthogonal(
-        (i for i in to_orthogonal(a, eps) if i <= h), eps
-    )
-
-
-def tail_above(a: ChainSum, h: int, eps: int) -> ChainSum:
-    return from_orthogonal(
-        (i for i in to_orthogonal(a, eps) if i > h), eps
-    )
-
-
 class Element:
     """A sum of chains and cycles mod 2."""
 
@@ -409,13 +392,13 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
     """Characterise all x with a*x = b over sums of chains and cycles."""
     ac, bc = a.cycles, b.cycles
     scale = odd_cycle_parity(ac)
+    sol = solve(ac, bc) if ac else None
     branches = []
     for t in (0, 1):
-        if not ac:
+        if sol is None:
             free = not bc
             cycle = CycleBranch(t=t, free=free, sol=None, nonempty=free)
         else:
-            sol = solve(ac, bc)
             nonempty = sol.solvable and interval_has_parity(
                 sol.lambda0, sol.upsilon0, t
             )

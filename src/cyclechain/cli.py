@@ -382,6 +382,17 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _count(text: str) -> int:
+    """argparse type for a count of items: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cyclechain",
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="odd modulus for restricted enumeration")
     p.add_argument("--n", type=int, default=None, help="level bound for restricted enumeration")
     p.add_argument("--max-chain", type=int, default=None, help="chain height bound (mixed inputs)")
-    p.add_argument("--enumerate", type=int, default=None, metavar="M", help="list up to M solutions")
+    p.add_argument("--enumerate", type=_count, default=None, metavar="M", help="list up to M solutions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_divide)
 

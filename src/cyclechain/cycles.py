@@ -257,8 +257,7 @@ class CycleSum:
             return (1, 0)
         k = 1
         for _, odd in self._levels:
-            for q in odd.lengths:
-                k = math.lcm(k, q)
+            k = math.lcm(k, *odd.lengths)
         return (k, self._levels[-1][0])
 
     @property
@@ -306,22 +305,6 @@ def mul_cycles(m: int, n: int) -> CycleSum:
     if math.gcd(m, n) % 2 == 0:
         return _ZERO
     return CycleSum.single(math.lcm(m, n))
-
-
-def s0_meet(e: OddSet, f: OddSet) -> OddSet:
-    return e * f
-
-
-def s0_join(e: OddSet, f: OddSet) -> OddSet:
-    return e | f
-
-
-def s0_not(e: OddSet) -> OddSet:
-    return e.complement()
-
-
-def s0_leq(e: OddSet, f: OddSet) -> bool:
-    return e <= f
 
 
 def cycle_product_rule() -> ProductRule:

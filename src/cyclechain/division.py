@@ -14,7 +14,13 @@ from math import lcm
 from typing import Iterator
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
-from .lattice import BoolElem, Interval, divisor_lattice, interval_parity_split
+from .lattice import (
+    BoolElem,
+    Interval,
+    divisor_bits,
+    divisor_lattice,
+    interval_parity_split,
+)
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,63 @@ class IntervalSolutionSet:
 
 
 def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
-    """Characterise the solutions of a*x = b."""
+    """Characterise the solutions of a*x = b.
+
+    Runs the per-level formulas in the atom coordinates of k = lcm of the
+    odd parts of a and b, falling back to the set formulas when that
+    layout is not worth building.
+    """
+    ka, na = a.stats()
+    kb, nb = b.stats()
+    n = max(na, nb)
+    bits = divisor_bits(lcm(ka, kb), (_terms(a) + 1) * (_terms(b) + 1) * (n + 1))
+    if bits is None:
+        return _solve_sets(a, b, n)
+    top = bits.top
+    A = {i: bits.encode(odd.lengths) for i, odd in a.items()}
+    B = {i: bits.encode(odd.lengths) for i, odd in b.items()}
+    a0 = A.get(0, 0)
+    b0 = B.get(0, 0)
+
+    lam0 = 0
+    ups0 = top
+    for i in range(n + 1):
+        ai = A.get(i, 0)
+        bi = B.get(i, 0)
+        li = bi ^ (a0 & bi) ^ (ai & b0)
+        lam0 |= li
+        ups0 &= li ^ ai ^ top
+
+    def odd(x: int) -> OddSet:
+        return OddSet(bits.decode(x))
+
+    free = a0 ^ top
+    head = []
+    for i in range(1, n + 1):
+        lo = (a0 & B.get(i, 0)) ^ (A.get(i, 0) & b0)
+        head.append((odd(lo), odd(lo ^ free)))
+
+    return IntervalSolutionSet(
+        a=a,
+        b=b,
+        solvable=lam0 & ups0 == lam0,
+        lambda0=odd(lam0),
+        upsilon0=odd(ups0),
+        head=tuple(head),
+        tail_hi=odd(free),
+        n=n,
+    )
+
+
+def _terms(x: CycleSum) -> int:
+    return sum(len(odd) for _, odd in x.items())
+
+
+def _solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:
+    """``solve`` by the OddSet formulas: the path for moduli without a bit
+    layout, and the reference the bit path is tested against."""
     a0 = a.odd_part
     b0 = b.odd_part
-    n = max(a.max_level, b.max_level)
 
     lam0 = ODD_ZERO
     ups0 = ODD_ONE
@@ -88,7 +147,34 @@ def min_solution(sol: IntervalSolutionSet) -> CycleSum:
 
 
 def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
-    """Whether x solves the equation, checked level by level."""
+    """Whether x solves the equation, checked level by level.
+
+    Works in the atom coordinates of the lcm of the equation's modulus and
+    x's odd parts, since a solution may carry odd parts outside the former
+    (C5 + C15 solves C3*x = 0).
+    """
+    if not sol.solvable:
+        return False
+    levels = set(range(sol.n + 1)).union(i for i, _ in x.items())
+    bounds = {i: sol.level_interval(i) for i in levels}
+    pairs = (_terms(x) + 1) * (1 + sum(len(lo) + len(hi) for lo, hi in bounds.values()))
+    k = lcm(sol.a.stats()[0], sol.b.stats()[0], x.stats()[0])
+    bits = divisor_bits(k, pairs)
+    if bits is None:
+        return _membership_sets(sol, x)
+    X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
+    for i, (lo, hi) in bounds.items():
+        xi = X.get(i, 0)
+        if bits.encode(lo.lengths) & ~xi:
+            return False
+        if xi and xi & ~bits.encode(hi.lengths):
+            return False
+    return True
+
+
+def _membership_sets(sol: IntervalSolutionSet, x: CycleSum) -> bool:
+    """``membership`` by the OddSet order: the path for moduli without a
+    bit layout, and the reference the bit path is tested against."""
     if not sol.solvable:
         return False
     checked = set()
@@ -196,11 +282,13 @@ def interval_has_parity(lo: OddSet, hi: OddSet, t: int) -> bool:
     The interval is lo + w over w below hi*not(lo); a strict-parity
     element exists among the w's iff that bound has odd support size,
     so the reachable parities are lo's own, plus both when the bound is
-    odd-sized.  Assumes the interval is nonempty.
+    odd-sized.  Support parity is the atom-coordinate bit at j = k, where
+    the product is ``&``, so the bound's parity is hi's and not lo's.
+    Assumes the interval is nonempty.
     """
     if lo.parity == t:
         return True
-    return (hi + hi * lo).parity == 1
+    return hi.parity == 1 and lo.parity == 0
 
 
 def level0_parity_members(

@@ -8,7 +8,8 @@ atoms are computed by ``atom_for`` via an even-up-set recursion.
 
 The divisor lattice of an odd k (divisors ordered by reverse divisibility,
 meet = lcm) is the instance the cycle arithmetic cares about; its atoms
-have the closed form produced by ``divisor_atom``.
+have the closed form produced by ``divisor_atom``.  ``DivisorBits`` holds
+the same algebra in atom coordinates, as int bitmasks over the divisors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class _AdjoinedTop:
@@ -204,10 +205,24 @@ def divisor_lattice(k: int) -> FiniteLattice:
     Cached so that repeated calls share one lattice object (sum-algebra
     values are only comparable over the identical lattice).
     """
+    return FiniteLattice(divisors(k), math.lcm)
+
+
+def divisors(k: int) -> list[int]:
+    """The divisors of odd k, ascending, from its factorisation."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"odd k required, got {k}")
-    divisors = sorted(d for d in range(1, k + 1) if k % d == 0)
-    return FiniteLattice(divisors, math.lcm)
+    out = [1]
+    for p, e in _prime_factors(k).items():
+        out = [d * p**a for a in range(e + 1) for d in out]
+    return sorted(out)
+
+
+def divisor_count(k: int) -> int:
+    """The number of divisors of odd k, from its factorisation."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"odd k required, got {k}")
+    return math.prod(e + 1 for e in _prime_factors(k).values())
 
 
 class BoolElem:
@@ -297,26 +312,6 @@ class BoolElem:
 
 def unit_vector(lat: FiniteLattice, l: Hashable) -> BoolElem:
     return BoolElem._from_bits(lat, 1 << lat.index[l])
-
-
-def v_mul(a: BoolElem, b: BoolElem) -> BoolElem:
-    return a * b
-
-
-def v_add(a: BoolElem, b: BoolElem) -> BoolElem:
-    return a + b
-
-
-def v_join(a: BoolElem, b: BoolElem) -> BoolElem:
-    return a | b
-
-
-def v_not(a: BoolElem) -> BoolElem:
-    return a.complement()
-
-
-def v_leq(a: BoolElem, b: BoolElem) -> bool:
-    return a <= b
 
 
 def _atom_mask(lat: FiniteLattice, li: int) -> int:
@@ -490,10 +485,19 @@ def semilattice_algebra(
     return SemilatticeAlgebra(lattice=lat, top=full_top, atoms=rest)
 
 
-def _prime_factors(k: int) -> dict[int, int]:
+def _prime_factors(k: int, max_steps: Optional[int] = None) -> Optional[dict[int, int]]:
+    """Prime factorisation of odd k by trial division.
+
+    With ``max_steps``, gives up and returns None once that many trial
+    divisors have not finished the job.
+    """
     out: dict[int, int] = {}
     d = 3
+    steps = 0
     while d * d <= k:
+        if steps == max_steps:
+            return None
+        steps += 1
         while k % d == 0:
             out[d] = out.get(d, 0) + 1
             k //= d
@@ -501,6 +505,94 @@ def _prime_factors(k: int) -> dict[int, int]:
     if k > 1:
         out[k] = out.get(k, 0) + 1
     return out
+
+
+# Most divisors a DivisorBits layout takes: masks of at most 512 bytes.
+MAX_BIT_DIVISORS = 1 << 12
+
+
+class DivisorBits:
+    """Atom coordinates for the idempotents whose lengths divide an odd k.
+
+    Bit t of a mask stands for the divisor ``divisors[t]`` of k, indexed in
+    mixed radix by its prime exponents (smallest prime least significant).
+    An idempotent maps to the mask whose bit at j is the parity of the
+    number of its lengths dividing j: ``C_q`` becomes the up-set
+    {j | k : q | j}, the mod-2 zeta transform over the divisor lattice.
+    There the lcm-convolution product is ``&``, the sum ``^``, the join
+    ``|``, the complement XOR with ``top`` and ``<=`` a subset test, and the
+    bit at j = k is the parity of the support size.
+
+    The divisor lattice is a product of one chain per prime, so the zeta
+    transform is a prefix XOR along each chain: one shift-XOR pass per
+    prime and exponent step, O(d(k) * omega(k)) bit work in all.  The
+    mod-2 Moebius inverse runs the same passes in reverse order.
+    """
+
+    __slots__ = ("k", "divisors", "index", "top", "_passes")
+
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
+        divisors = [1]
+        strides = []
+        for p, e in factors:
+            strides.append((len(divisors), e))
+            divisors = [d * p**a for a in range(e + 1) for d in divisors]
+        n = len(divisors)
+        passes = []
+        for stride, e in strides:
+            period = stride * (e + 1)
+            for a in range(1, e + 1):
+                # positions whose exponent of this prime is a - 1
+                sel = 0
+                for t in range((a - 1) * stride, n, period):
+                    sel |= ((1 << stride) - 1) << t
+                passes.append((stride, sel))
+        self.k = divisors[-1]
+        self.divisors: tuple[int, ...] = tuple(divisors)
+        self.index: dict[int, int] = {d: t for t, d in enumerate(divisors)}
+        self.top = (1 << n) - 1
+        self._passes = tuple(passes)
+
+    def encode(self, lengths: Iterable[int]) -> int:
+        """Mask of the idempotent with these (distinct) lengths, all dividing k."""
+        index = self.index
+        x = 0
+        for q in lengths:
+            x |= 1 << index[q]
+        for shift, sel in self._passes:
+            x ^= (x & sel) << shift
+        return x
+
+    def decode(self, x: int) -> list[int]:
+        """Lengths of the idempotent with mask x."""
+        for shift, sel in reversed(self._passes):
+            x ^= (x & sel) << shift
+        divisors = self.divisors
+        out = []
+        while x:
+            low = x & -x
+            out.append(divisors[low.bit_length() - 1])
+            x ^= low
+        return out
+
+
+def divisor_bits(k: int, max_steps: int) -> Optional[DivisorBits]:
+    """The bit layout of odd k, or None when it is not worth building.
+
+    None when factoring k takes more than ``max_steps`` trial divisions or
+    k has more than ``MAX_BIT_DIVISORS`` divisors.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"odd k required, got {k}")
+    factors = _prime_factors(k, max_steps)
+    if factors is None or math.prod(e + 1 for e in factors.values()) > MAX_BIT_DIVISORS:
+        return None
+    return _divisor_bits(tuple(sorted(factors.items())))
+
+
+@lru_cache(maxsize=64)
+def _divisor_bits(factors: tuple[tuple[int, int], ...]) -> DivisorBits:
+    return DivisorBits(factors)
 
 
 def divisor_atom(k: int, j: int) -> BoolElem:

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
+from .lattice import divisor_count, divisors
 
 
 @dataclass(frozen=True)
@@ -319,15 +320,18 @@ class SearchSpace:
     max_chain: int = 0
 
     def generators(self) -> tuple[tuple[str, int], ...]:
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"odd k required, got {self.k}")
-        odd = [q for q in range(1, self.k + 1) if self.k % q == 0]
-        gens = [("C", q << i) for q in odd for i in range(self.max_level + 1)]
+        gens = [("C", q << i) for q in divisors(self.k) for i in range(self.max_level + 1)]
         gens.extend(("L", d) for d in range(1, self.max_chain + 1))
         return tuple(gens)
 
+    def generator_count(self) -> int:
+        """len(generators()), counted without listing them."""
+        if self.max_level < 0 or self.max_chain < 0:
+            raise ValueError("window bounds must be >= 0")
+        return divisor_count(self.k) * (self.max_level + 1) + self.max_chain
+
     def size(self) -> int:
-        return 1 << len(self.generators())
+        return 1 << self.generator_count()
 
 
 def _element_from_gens(gens: Iterable[tuple[str, int]]) -> Element:
@@ -419,9 +423,9 @@ def exhaustive_divide(
     Products come from the natural-number component formulas reduced mod 2
     (never the level shortcut); the divisor must live inside the window.
     """
-    if space.size() > 1 << 24:
+    if space.generator_count() > 24:
         raise ValueError(
-            f"search space of {space.size()} candidates is too large"
+            f"search space of 2**{space.generator_count()} candidates is too large"
         )
     tables = _space_tables(space)
     a_mask = tables.try_mask(a)

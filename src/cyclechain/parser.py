@@ -17,6 +17,10 @@ from .cycles import CycleSum
 from .poly import CubicPoly, reduce_poly
 
 MAX_INT = 10**6
+# Deepest nesting of parentheses and chained powers; the parser and the
+# evaluators recurse once per level, so this keeps them far from Python's
+# recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -116,6 +120,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -145,8 +150,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", tok.pos)
             node: Node = self.expr()
             self.take(")")
+            self.depth -= 1
         elif tok.kind == "atom_C":
             self.take("atom_C")
             node = Atom("C", tok.value)
@@ -172,8 +181,12 @@ class _Parser:
             raise ParseError(
                 f"expected an atom or '(', found {tok.kind!r}", tok.pos
             )
+        powers = 0
         while self.peek().kind == "^":
-            self.take("^")
+            ctok = self.take("^")
+            powers += 1
+            if self.depth + powers > MAX_DEPTH:
+                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", ctok.pos)
             etok = self.take("int")
             if etok.value < 1:
                 raise ParseError("exponent must be >= 1", etok.pos)
@@ -279,8 +292,12 @@ def _eval_poly_node(node: Node) -> list[CycleSum]:
         return out
     if isinstance(node, Pow):
         base = _eval_poly_node(node.base)
+        # y**4 = y**2 for every element, so higher powers fold to 2 or 3
+        e = node.exponent
+        if e >= 4:
+            e = 2 + (e & 1)
         out = [CycleSum.one()]
-        for _ in range(node.exponent):
+        for _ in range(e):
             out = _poly_mul(out, base)
         return out
     raise TypeError(f"unknown node {node!r}")

@@ -14,6 +14,7 @@ from typing import Optional
 
 from . import division
 from .cycles import CycleSum, ODD_ONE, OddSet
+from .lattice import divisors
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,4 @@ def probe_ideal_intersection(
 
 def divisor_lattice_universe(k: int, n: int) -> tuple[int, ...]:
     """All cycle lengths with odd part dividing k and level at most n."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    odd = [d for d in range(1, k + 1) if k % d == 0]
-    return tuple(sorted(q << i for q in odd for i in range(n + 1)))
+    return tuple(sorted(q << i for q in divisors(k) for i in range(n + 1)))

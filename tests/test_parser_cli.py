@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import cyclechain
 from cyclechain import cli
 from cyclechain.chains import ChainSum, Element
 from cyclechain.cycles import CycleSum
 from cyclechain.parser import (
+    MAX_DEPTH,
     Add,
     Atom,
     Mul,
@@ -253,3 +259,57 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
+
+
+class TestInputBudgets:
+    def test_deep_nesting_exits_2_without_traceback(self):
+        text = "(" * 5000 + "C1" + ")" * 5000
+        src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "eval", text],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "nested deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_nesting_limit(self):
+        inner = "(" * MAX_DEPTH + "C3" + ")" * MAX_DEPTH
+        assert parse_element(inner) == Element.from_cycles(C(3))
+        with pytest.raises(ParseError):
+            parse("(" + inner + ")")
+        with pytest.raises(ParseError):
+            parse("C1" + "^2" * 3000)
+        sums = "(C1+" * (MAX_DEPTH - 1) + "C3" + ")" * (MAX_DEPTH - 1)
+        assert parse_element(sums) == Element.from_cycles(CycleSum.from_lengths([1, 3]))
+        powers = "C3"
+        for _ in range(MAX_DEPTH // 2):
+            powers = f"({powers} + C5)^3"
+        parse_element(powers)
+
+    def test_check_divide_sizes_the_window_first(self, capsys):
+        # 999999999 = 3^4 * 37 * 333667 has 20 divisors
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, "oracle", "check-divide", "C3", "C15", "--k", "999999999")
+        assert code == 1 and "no solution" in out
+        code = cli.main(["oracle", "check-divide", "C3", "C3", "--k", "999999999", "--n", "1"])
+        assert code == 2
+        assert "2**40 candidates" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 5
+
+    def test_negative_enumerate_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["divide", "C3", "C15", "--enumerate", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_poly_power_folds(self, capsys):
+        t0 = time.perf_counter()
+        high = run_cli(capsys, "poly-solve", "--poly", "(x+C2)^200000", "--target", "C3", "--json")
+        assert time.perf_counter() - t0 < 5
+        low = run_cli(capsys, "poly-solve", "--poly", "(x+C2)^2", "--target", "C3", "--json")
+        assert high == low
+        assert parse_poly("(x+C3)^200001") == parse_poly("(x+C3)^3")
