@@ -13,20 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cycles import CycleSum, OddSet
 from .division import (
     IntervalSolutionSet,
-    bool_to_oddset,
     interval_has_parity,
-    level0_parity_members,
+    lazy_product,
     membership,
-    oddset_to_bool,
+    odd_members,
     solve,
 )
 from .formal import FormalSum, ProductRule
-from .lattice import Interval, divisor_lattice
+from .lattice import DivisorBits, ones, window_bits
 
 
 class ChainSum:
@@ -244,39 +243,36 @@ class ChainDivision:
         return zlo <= head and head <= zhi
 
     def members(self, max_height: int) -> Iterator[ChainSum]:
-        """All solutions of height at most max_height, deterministically."""
+        """All solutions of height at most max_height, deterministically.
+
+        The height of a solution is its largest Z-coordinate.  A choice
+        counter over the free head coordinates (ascending) runs outside a
+        counter over the tail coordinates; bit t of the latter adds the
+        t-th tail coordinate, ``first + 2t``, so the tail is never listed.
+        """
         if self.kind == "empty":
             return
         base = 2 - self.parity
-        if self.kind == "all":
-            coords = [i for i in range(base, max_height + 1, 2)]
-            for bits in range(1 << len(coords)):
-                yield from_orthogonal(
-                    [coords[t] for t in range(len(coords)) if bits >> t & 1],
-                    self.parity,
-                )
-            return
-        zlo = to_orthogonal(self.lo, self.parity)
-        zhi = to_orthogonal(self.hi, self.parity)
-        if not zlo <= zhi:
-            return
-        free = sorted(zhi - zlo)
-        tail: list[int] = []
-        if self.free_tail:
-            tail = [
-                i for i in range(self.cutoff + 1, max_height + 1) if i % 2 == base % 2
-            ]
+        head: frozenset[int] = frozenset()
+        free: list[int] = []
+        first = base
+        if self.kind == "interval":
+            head = to_orthogonal(self.lo, self.parity)
+            zhi = to_orthogonal(self.hi, self.parity)
+            if not head <= zhi or max(head, default=0) > max_height:
+                return
+            # free coordinates above the bound come last in the counter,
+            # so leaving them out drops exactly the too-high members
+            free = sorted(i for i in zhi - head if i <= max_height)
+            first = self.cutoff + 1 + (base - self.cutoff - 1) % 2
+            if not self.free_tail:
+                first = max_height + 1
+        tail = max(0, (max_height - first) // 2 + 1)
         for bits in range(1 << len(free)):
-            head = set(zlo)
-            head.update(free[t] for t in range(len(free)) if bits >> t & 1)
-            for tbits in range(1 << len(tail)):
-                coords = set(head)
-                coords.update(
-                    tail[t] for t in range(len(tail)) if tbits >> t & 1
-                )
-                x = from_orthogonal(coords, self.parity)
-                if x.height <= max_height:
-                    yield x
+            coords = head.union(free[t] for t in ones(bits))
+            for tbits in range(1 << tail):
+                z = coords.union(first + 2 * t for t in ones(tbits))
+                yield from_orthogonal(z, self.parity)
 
 
 def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
@@ -413,60 +409,34 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
     return CombinedSolutionSet(a=a, b=b, branches=tuple(branches))
 
 
-def _restricted_cycle_members(
-    branch: CycleBranch, k: int, max_level: int
-) -> Iterator[CycleSum]:
-    lat = divisor_lattice(k)
-    divisors = lat.elements
+def _subsets(divs: list[int], t: Optional[int]) -> Iterator[OddSet]:
+    """Every OddSet over divs, by a choice counter whose bit i picks
+    divs[i]; only those of support parity t unless t is None."""
+    for c in range(1 << len(divs)):
+        if t is None or c.bit_count() & 1 == t:
+            yield OddSet(divs[i] for i in ones(c))
+
+
+def _cycle_factors(
+    branch: CycleBranch, bits: DivisorBits, max_level: int
+) -> list[Callable[[], Iterator[OddSet]]]:
+    """One factor per cycle level 0..max_level for ``lazy_product``; an
+    empty list when no cycle part of the branch fits the window."""
     if branch.free:
-        all_sets = [
-            OddSet(d for t, d in enumerate(divisors) if bits >> t & 1)
-            for bits in range(1 << len(divisors))
-        ]
-
-        def emit_free(level: int, acc: dict[int, OddSet]) -> Iterator[CycleSum]:
-            if level > max_level:
-                x = CycleSum(acc)
-                if odd_cycle_parity(x) == branch.t:
-                    yield x
-                return
-            for choice in all_sets:
-                if choice:
-                    acc[level] = choice
-                yield from emit_free(level + 1, acc)
-                acc.pop(level, None)
-
-        yield from emit_free(0, {})
-        return
-
+        divs = sorted(bits.divisors)
+        return [lambda: _subsets(divs, branch.t)] + [lambda: _subsets(divs, None)] * max_level
     sol = branch.sol
     if sol is None or not sol.solvable:
-        return
+        return []
     # levels above the window are forced to zero; possible only when their
     # lower endpoints vanish
     for i in range(max_level + 1, sol.n + 1):
         lo, _ = sol.level_interval(i)
         if lo:
-            return
-    level0 = level0_parity_members(sol, k, branch.t)
-    upper: list[list[OddSet]] = []
-    for i in range(1, max_level + 1):
-        lo, hi = sol.level_interval(i)
-        iv = Interval(oddset_to_bool(lat, lo), oddset_to_bool(lat, hi))
-        upper.append([bool_to_oddset(m) for m in iv.members()])
-
-    def emit(level: int, acc: dict[int, OddSet]) -> Iterator[CycleSum]:
-        if level > max_level:
-            yield CycleSum(acc)
-            return
-        pool = level0 if level == 0 else upper[level - 1]
-        for choice in pool:
-            if choice:
-                acc[level] = choice
-            yield from emit(level + 1, acc)
-            acc.pop(level, None)
-
-    yield from emit(0, {})
+            return []
+    return [odd_members(bits, sol.lambda0, sol.upsilon0, branch.t)] + [
+        odd_members(bits, *sol.level_interval(i)) for i in range(1, max_level + 1)
+    ]
 
 
 def divide_full_restricted(
@@ -480,7 +450,8 @@ def divide_full_restricted(
     cycle levels at most max_level, chain lengths at most max_height.
 
     Complete for that window; every emitted element is verified by
-    multiplication before being yielded.
+    multiplication before being yielded.  The listing is lazy: cycle
+    levels, then even and odd chains, in one lexicographic product.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"odd k required, got {k}")
@@ -491,6 +462,7 @@ def divide_full_restricted(
             f"k={k} must be a multiple of lcm({ka}, {kb}); "
             "restriction would be unsound"
         )
+    bits = window_bits(k)
     sols = divide_full(a, b)
     if max_level is None:
         max_level = max(a.cycles.max_level, b.cycles.max_level)
@@ -502,19 +474,19 @@ def divide_full_restricted(
     for branch in sols.branches:
         if not branch.nonempty:
             continue
-        even_members = list(branch.chains[0].members(max_height))
-        odd_members = list(branch.chains[1].members(max_height))
-        if not even_members or not odd_members:
+        factors = _cycle_factors(branch.cycle, bits, max_level)
+        if not factors:
             continue
-        for xc in _restricted_cycle_members(branch.cycle, k, max_level):
-            for xe in even_members:
-                for xo in odd_members:
-                    x = Element(chains=xe + xo, cycles=xc)
-                    if a * x != b:
-                        raise RuntimeError(
-                            f"internal error: candidate {x} fails verification"
-                        )
-                    yield x
+        for eps in (0, 1):
+            factors.append(lambda c=branch.chains[eps]: c.members(max_height))
+        for *levels, xe, xo in lazy_product(factors):
+            xc = CycleSum._make({i: odd for i, odd in enumerate(levels) if odd})
+            x = Element(chains=xe + xo, cycles=xc)
+            if a * x != b:
+                raise RuntimeError(
+                    f"internal error: candidate {x} fails verification"
+                )
+            yield x
 
 
 def element_product_rule() -> ProductRule:

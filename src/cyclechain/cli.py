@@ -7,6 +7,7 @@ relation is false, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -382,14 +383,16 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of items: an int >= 0."""
+def _count(text: str, cap: Optional[int] = None) -> int:
+    """argparse type for a count of items: an int >= 0, at most cap."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if cap is not None and n > cap:
+        raise argparse.ArgumentTypeError(f"must be <= {cap}, got {n}")
     return n
 
 
@@ -410,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--k", type=int, default=None, help="odd modulus for restricted enumeration")
     p.add_argument("--n", type=int, default=None, help="level bound for restricted enumeration")
-    p.add_argument("--max-chain", type=int, default=None, help="chain height bound (mixed inputs)")
+    p.add_argument(
+        "--max-chain", type=functools.partial(_count, cap=10**6), default=None,
+        help="chain height bound (mixed inputs), 0 to 10^6",
+    )
     p.add_argument("--enumerate", type=_count, default=None, metavar="M", help="list up to M solutions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_divide)

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
-from .lattice import (
-    BoolElem,
-    Interval,
-    divisor_bits,
-    divisor_lattice,
-    interval_parity_split,
-)
+from .lattice import DivisorBits, divisor_bits, window_bits
+
+T = TypeVar("T")
+_END = object()
 
 
 @dataclass(frozen=True)
@@ -219,13 +216,50 @@ def annihilators(a: CycleSum) -> Annihilators:
     )
 
 
-def oddset_to_bool(lat, e: OddSet) -> BoolElem:
-    """View an idempotent with lengths dividing k inside the k-divisor algebra."""
-    return BoolElem(lat, e.lengths)
+def lazy_product(factors: Sequence[Callable[[], Iterator[T]]]) -> Iterator[tuple[T, ...]]:
+    """The product of the factors, lexicographically, the first factor
+    outermost, without recursion.
+
+    Each factor is a callable that makes a fresh iterator over its
+    members; an inner factor is made again for every choice of the outer
+    ones.  An empty factor ends the product before any factor moves past
+    its first member.
+    """
+    iters = [make() for make in factors]
+    current = [next(it, _END) for it in iters]
+    if any(member is _END for member in current):
+        return
+    while True:
+        yield tuple(current)
+        i = len(iters) - 1
+        while i >= 0:
+            member = next(iters[i], _END)
+            if member is not _END:
+                current[i] = member
+                break
+            i -= 1
+        if i < 0:
+            return
+        for j in range(i + 1, len(iters)):
+            iters[j] = factors[j]()
+            current[j] = next(iters[j])
 
 
-def bool_to_oddset(x: BoolElem) -> OddSet:
-    return OddSet(x.support())
+def odd_members(
+    bits: DivisorBits, lo: OddSet, hi: OddSet, t: Optional[int] = None
+) -> Callable[[], Iterator[OddSet]]:
+    """A factor for ``lazy_product``: the members of [lo, hi], listed in
+    the atom coordinates ``bits``; with t, only those of support-size
+    parity t.
+
+    The parity is the bit at j = k.  It is the largest divisor, so the
+    last free atom, and fixing it keeps the order of the other members.
+    """
+    x, y = bits.encode(lo.lengths), bits.encode(hi.lengths)
+    if t is not None:
+        parity = 1 << bits.index[bits.k]
+        x, y = (x | parity, y) if t else (x, y & ~parity)
+    return lambda: (OddSet(bits.decode(m)) for m in bits.members(x, y))
 
 
 def enumerate_restricted(
@@ -236,6 +270,7 @@ def enumerate_restricted(
     Complete for that restricted space; every emitted element is verified
     against the defining equation before being yielded.  Output order is
     lexicographic in (level, atom choice inside the k-divisor algebra).
+    The listing is lazy, so the first solution costs one member per level.
     """
     if not sol.solvable:
         return
@@ -251,29 +286,15 @@ def enumerate_restricted(
     if n < max(sol.a.max_level, sol.b.max_level):
         raise ValueError("level bound below the inputs' own levels")
 
-    lat = divisor_lattice(k)
-    per_level: list[list[OddSet]] = []
-    for i in range(n + 1):
-        lo, hi = sol.level_interval(i)
-        iv = Interval(oddset_to_bool(lat, lo), oddset_to_bool(lat, hi))
-        per_level.append([bool_to_oddset(m) for m in iv.members()])
-
-    def emit(level: int, acc: dict[int, OddSet]) -> Iterator[CycleSum]:
-        if level > n:
-            x = CycleSum(acc)
-            if sol.a * x != sol.b:
-                raise RuntimeError(
-                    f"internal error: candidate {x} fails verification"
-                )
-            yield x
-            return
-        for choice in per_level[level]:
-            if choice:
-                acc[level] = choice
-            yield from emit(level + 1, acc)
-            acc.pop(level, None)
-
-    yield from emit(0, {})
+    bits = window_bits(k)
+    factors = [odd_members(bits, *sol.level_interval(i)) for i in range(n + 1)]
+    for levels in lazy_product(factors):
+        x = CycleSum._make({i: odd for i, odd in enumerate(levels) if odd})
+        if sol.a * x != sol.b:
+            raise RuntimeError(
+                f"internal error: candidate {x} fails verification"
+            )
+        yield x
 
 
 def interval_has_parity(lo: OddSet, hi: OddSet, t: int) -> bool:
@@ -289,21 +310,3 @@ def interval_has_parity(lo: OddSet, hi: OddSet, t: int) -> bool:
     if lo.parity == t:
         return True
     return hi.parity == 1 and lo.parity == 0
-
-
-def level0_parity_members(
-    sol: IntervalSolutionSet, k: int, t: int
-) -> list[OddSet]:
-    """Members of the level-0 interval in the k-divisor algebra with
-    support-size parity t."""
-    lat = divisor_lattice(k)
-    iv = Interval(
-        oddset_to_bool(lat, sol.lambda0), oddset_to_bool(lat, sol.upsilon0)
-    )
-    if iv.is_empty:
-        return []
-    even, odd = interval_parity_split(iv, lat.bottom)
-    part = odd if t == 1 else even
-    if part.is_empty:
-        return []
-    return [bool_to_oddset(m) for m in part.members()]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -575,8 +576,35 @@ class DivisorBits:
             x ^= low
         return out
 
+    def members(self, lo: int, hi: int) -> Iterator[int]:
+        """The masks of the interval [lo, hi], lazily; none unless lo <= hi.
 
-def divisor_bits(k: int, max_steps: int) -> Optional[DivisorBits]:
+        A member is lo plus a subset of the free atoms ``hi & ~lo``.  Bit t
+        of a choice counter adds the atom of the t-th smallest free
+        divisor, the order of ``Interval.members``.  Counting up to c
+        clears the atoms below the lowest set bit of c and adds that one:
+        one XOR per member.
+        """
+        if lo & ~hi:
+            return
+        free = sorted(ones(hi & ~lo), key=self.divisors.__getitem__)
+        flips = list(accumulate((1 << t for t in free), int.__or__))
+        x = lo
+        yield x
+        for c in range(1, 1 << len(free)):
+            x ^= flips[(c & -c).bit_length() - 1]
+            yield x
+
+
+def ones(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def divisor_bits(k: int, max_steps: Optional[int] = None) -> Optional[DivisorBits]:
     """The bit layout of odd k, or None when it is not worth building.
 
     None when factoring k takes more than ``max_steps`` trial divisions or
@@ -588,6 +616,16 @@ def divisor_bits(k: int, max_steps: int) -> Optional[DivisorBits]:
     if factors is None or math.prod(e + 1 for e in factors.values()) > MAX_BIT_DIVISORS:
         return None
     return _divisor_bits(tuple(sorted(factors.items())))
+
+
+def window_bits(k: int) -> DivisorBits:
+    """The bit layout of odd k for listing a window, however long k takes
+    to factor; ValueError when k has more than ``MAX_BIT_DIVISORS``
+    divisors."""
+    bits = divisor_bits(k)
+    if bits is None:
+        raise ValueError(f"k={k} has more than {MAX_BIT_DIVISORS} divisors, too many to list")
+    return bits
 
 
 @lru_cache(maxsize=64)

@@ -231,16 +231,6 @@ def parse_element(text: str) -> Element:
     return eval_element(parse(text))
 
 
-def cycles_only(x: Element, what: str = "expression") -> CycleSum:
-    if x.chains:
-        raise ValueError(f"{what} must not contain chains")
-    return x.cycles
-
-
-def parse_cycles(text: str) -> CycleSum:
-    return cycles_only(parse_element(text))
-
-
 def _poly_add(p: list[CycleSum], q: list[CycleSum]) -> list[CycleSum]:
     n = max(len(p), len(q))
     out = []

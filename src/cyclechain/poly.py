@@ -14,8 +14,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .cycles import CycleSum, ODD_ONE, OddSet
-from .division import bool_to_oddset, oddset_to_bool
-from .lattice import Interval, divisor_lattice
+from .lattice import window_bits
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,8 @@ def is_reachable(p: CubicPoly, s: CycleSum) -> bool:
     the even-level system is solvable iff (a0*x0 + c0) fixes the residual
     drift.  Restriction to odd parts dividing a joint modulus loses no
     solutions, so scanning that finite interval decides the question.
+    The scan runs in the atom coordinates of that modulus, where the
+    products are ``&``.
     """
     r = s + p.d
     r0 = r.odd_part
@@ -137,17 +138,14 @@ def is_reachable(p: CubicPoly, s: CycleSum) -> bool:
     a0 = p.a.odd_part
     c0 = p.c.odd_part
     drift = (p.a + p.b + p.c).even_part
-    k = _restriction_modulus(p, r)
-    lat = divisor_lattice(k)
-    iv = Interval(
-        oddset_to_bool(lat, r0),
-        oddset_to_bool(lat, e + r0 + ODD_ONE),
-    )
-    for member in iv.members():
-        x0 = bool_to_oddset(member)
-        mu = a0 * x0 + c0
-        tau = r.even_part + drift * x0.as_cycles()
-        if all(mu * ti == ti for _, ti in tau.items()):
+    bits = window_bits(_restriction_modulus(p, r))
+    R0, E, A0, C0 = (bits.encode(x.lengths) for x in (r0, e, a0, c0))
+    # level i of tau = r.even_part + drift * x0 is ri ^ (di & x0)
+    levels = {i for i, _ in r.even_part.items()} | {i for i, _ in drift.items()}
+    tau = [(bits.encode(r.level(i).lengths), bits.encode(drift.level(i).lengths)) for i in levels]
+    for x0 in bits.members(R0, E ^ R0 ^ bits.top):
+        mu = (A0 & x0) ^ C0
+        if all(not (ri ^ (di & x0)) & ~mu for ri, di in tau):
             return True
     return False
 

@@ -253,8 +253,10 @@ class TestDivideFullRestricted:
     def test_arising_intervals_split_cleanly(self, rng):
         # the two parity pieces of each per-level interval of a solvable
         # division partition its members inside the 15-divisor algebra
-        from cyclechain.division import bool_to_oddset, oddset_to_bool, solve
+        from cyclechain.cycles import OddSet
+        from cyclechain.division import solve
         from cyclechain.lattice import (
+            BoolElem,
             Interval,
             divisor_lattice,
             interval_parity_split,
@@ -271,7 +273,7 @@ class TestDivideFullRestricted:
             seen += 1
             for i in range(sol.n + 1):
                 lo, hi = sol.level_interval(i)
-                iv = Interval(oddset_to_bool(lat, lo), oddset_to_bool(lat, hi))
+                iv = Interval(BoolElem(lat, lo.lengths), BoolElem(lat, hi.lengths))
                 if iv.is_empty:
                     continue
                 even, odd = interval_parity_split(iv, lat.bottom)
@@ -281,7 +283,7 @@ class TestDivideFullRestricted:
                 assert even_members | odd_members == members
                 assert not (even_members & odd_members)
                 for m in members:
-                    parity = len(bool_to_oddset(m)) & 1
+                    parity = len(OddSet(m.support())) & 1
                     assert (m in odd_members) == (parity == 1)
 
 

@@ -1,0 +1,354 @@
+"""Lazy enumeration in atom coordinates against the eager enumerators.
+
+The ``ref_*`` functions are the interval enumerators the lazy ones
+replaced: every member of every level is built as an ``Interval`` of
+``BoolElem`` values over ``divisor_lattice(k)`` before the first solution
+is emitted.  The lazy code must yield the same solutions in the same order.
+"""
+
+import itertools
+import math
+import time
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cyclechain import oracle
+from cyclechain.chains import (
+    ChainDivision,
+    ChainSum,
+    Element,
+    divide_chains,
+    divide_full,
+    divide_full_restricted,
+    from_orthogonal,
+    odd_cycle_parity,
+    to_orthogonal,
+)
+from cyclechain.cycles import ODD_ONE, CycleSum, OddSet
+from cyclechain.division import (
+    enumerate_restricted,
+    lazy_product,
+    odd_members,
+    solve,
+)
+from cyclechain.lattice import (
+    MAX_BIT_DIVISORS,
+    BoolElem,
+    Interval,
+    divisor_lattice,
+    divisors,
+    interval_parity_split,
+    window_bits,
+)
+from cyclechain.poly import CubicPoly, _restriction_modulus, is_reachable
+
+WIDE = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+# most free atoms a level may have in a differential test: the reference
+# builds all 2**free members of every level at once
+MAX_REF_FREE = 10
+
+
+# ---------------------------------------------------------------- reference
+
+
+def ref_members(lat, lo: OddSet, hi: OddSet) -> list[OddSet]:
+    iv = Interval(BoolElem(lat, lo.lengths), BoolElem(lat, hi.lengths))
+    return [OddSet(m.support()) for m in iv.members()]
+
+
+def ref_enumerate_restricted(sol, k, n):
+    if not sol.solvable:
+        return
+    lat = divisor_lattice(k)
+    per_level = [ref_members(lat, *sol.level_interval(i)) for i in range(n + 1)]
+
+    def emit(level, acc):
+        if level > n:
+            yield CycleSum(acc)
+            return
+        for choice in per_level[level]:
+            if choice:
+                acc[level] = choice
+            yield from emit(level + 1, acc)
+            acc.pop(level, None)
+
+    yield from emit(0, {})
+
+
+def ref_level0_parity_members(sol, k, t):
+    lat = divisor_lattice(k)
+    iv = Interval(BoolElem(lat, sol.lambda0.lengths), BoolElem(lat, sol.upsilon0.lengths))
+    if iv.is_empty:
+        return []
+    even, odd = interval_parity_split(iv, lat.bottom)
+    part = odd if t == 1 else even
+    if part.is_empty:
+        return []
+    return [OddSet(m.support()) for m in part.members()]
+
+
+def ref_chain_members(cd: ChainDivision, max_height):
+    if cd.kind == "empty":
+        return
+    base = 2 - cd.parity
+    if cd.kind == "all":
+        coords = list(range(base, max_height + 1, 2))
+        for bits in range(1 << len(coords)):
+            yield from_orthogonal(
+                [coords[t] for t in range(len(coords)) if bits >> t & 1], cd.parity
+            )
+        return
+    zlo = to_orthogonal(cd.lo, cd.parity)
+    zhi = to_orthogonal(cd.hi, cd.parity)
+    if not zlo <= zhi:
+        return
+    free = sorted(zhi - zlo)
+    tail = []
+    if cd.free_tail:
+        tail = [i for i in range(cd.cutoff + 1, max_height + 1) if i % 2 == base % 2]
+    for bits in range(1 << len(free)):
+        head = set(zlo)
+        head.update(free[t] for t in range(len(free)) if bits >> t & 1)
+        for tbits in range(1 << len(tail)):
+            coords = set(head)
+            coords.update(tail[t] for t in range(len(tail)) if tbits >> t & 1)
+            x = from_orthogonal(coords, cd.parity)
+            if x.height <= max_height:
+                yield x
+
+
+def ref_cycle_members(branch, k, max_level):
+    lat = divisor_lattice(k)
+    if branch.free:
+        all_sets = [
+            OddSet(d for t, d in enumerate(lat.elements) if bits >> t & 1)
+            for bits in range(1 << len(lat.elements))
+        ]
+        for choice in itertools.product(all_sets, repeat=max_level + 1):
+            x = CycleSum({i: c for i, c in enumerate(choice) if c})
+            if odd_cycle_parity(x) == branch.t:
+                yield x
+        return
+    sol = branch.sol
+    if sol is None or not sol.solvable:
+        return
+    for i in range(max_level + 1, sol.n + 1):
+        if sol.level_interval(i)[0]:
+            return
+    pools = [ref_level0_parity_members(sol, k, branch.t)]
+    pools += [ref_members(lat, *sol.level_interval(i)) for i in range(1, max_level + 1)]
+    for choice in itertools.product(*pools):
+        yield CycleSum({i: c for i, c in enumerate(choice) if c})
+
+
+def ref_divide_full_restricted(a, b, k, max_level, max_height):
+    sols = divide_full(a, b)
+    for branch in sols.branches:
+        if not branch.nonempty:
+            continue
+        even = list(ref_chain_members(branch.chains[0], max_height))
+        odd = list(ref_chain_members(branch.chains[1], max_height))
+        if not even or not odd:
+            continue
+        for xc in ref_cycle_members(branch.cycle, k, max_level):
+            for xe in even:
+                for xo in odd:
+                    yield Element(chains=xe + xo, cycles=xc)
+
+
+def ref_is_reachable(p, s):
+    r = s + p.d
+    r0 = r.odd_part
+    e = (p.a + p.b + p.c).odd_part
+    if e * r0 != r0:
+        return False
+    a0, c0 = p.a.odd_part, p.c.odd_part
+    drift = (p.a + p.b + p.c).even_part
+    lat = divisor_lattice(_restriction_modulus(p, r))
+    for x0 in ref_members(lat, r0, e + r0 + ODD_ONE):
+        mu = a0 * x0 + c0
+        tau = r.even_part + drift * x0.as_cycles()
+        if all(mu * ti == ti for _, ti in tau.items()):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------- strategies
+
+
+def cycle_sums(parts, levels, max_terms=6):
+    return st.lists(
+        st.tuples(st.sampled_from(parts), st.integers(0, levels)), max_size=max_terms
+    ).map(lambda ts: CycleSum.from_lengths(q << i for q, i in ts))
+
+
+def odd_sets(parts, max_terms=8):
+    return st.lists(st.sampled_from(parts), max_size=max_terms).map(lambda qs: OddSet(set(qs)))
+
+
+def chain_sums(max_len=6, max_terms=3):
+    return st.lists(st.integers(1, max_len), max_size=max_terms).map(ChainSum)
+
+
+def free_atoms(k, lo: OddSet, hi: OddSet) -> int:
+    bits = window_bits(k)
+    return (bits.encode(hi.lengths) & ~bits.encode(lo.lengths)).bit_count()
+
+
+def small_window(sol, k, n) -> bool:
+    return all(free_atoms(k, *sol.level_interval(i)) <= MAX_REF_FREE for i in range(n + 1))
+
+
+CYCLE_WINDOWS = [(1, 2), (3, 1), (15, 1), (45, 1), (105, 0), (315, 0), (3465, 0)]
+MIXED_WINDOWS = [(1, 1), (3, 1), (15, 1), (45, 0), (105, 0)]
+
+
+def take(it, m=600):
+    return list(itertools.islice(it, m))
+
+
+# ---------------------------------------------------------------- tests
+
+
+class TestLazyProduct:
+    def test_matches_itertools_product(self):
+        pools = [[1, 2], [], [3]]
+        for shape in ([0], [0, 2], [2, 0, 2], [0, 0, 0]):
+            factors = [lambda p=pools[i]: iter(p) for i in shape]
+            want = list(itertools.product(*(pools[i] for i in shape)))
+            assert list(lazy_product(factors)) == want
+        assert list(lazy_product([])) == [()]
+
+    def test_empty_factor_ends_before_the_outer_factor_moves(self):
+        pulled = []
+
+        def outer():
+            for v in range(10**9):
+                pulled.append(v)
+                yield v
+
+        assert list(lazy_product([outer, lambda: iter(())])) == []
+        assert pulled == [0]
+
+    def test_deep_products_need_no_recursion(self):
+        factors = [lambda: iter((0, 1))] * 20_000
+        first, second = itertools.islice(lazy_product(factors), 2)
+        assert first == (0,) * 20_000
+        assert second == (0,) * 19_999 + (1,)
+
+
+class TestMembersDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 15, 45, 315, 3465]), st.data())
+    def test_divisor_bits_members_keep_interval_order(self, k, data):
+        divs = divisors(k)
+        hi = data.draw(odd_sets(divs))
+        lo = hi * data.draw(odd_sets(divs)) if data.draw(st.booleans()) else data.draw(odd_sets(divs))
+        assume(free_atoms(k, lo, hi) <= MAX_REF_FREE)
+        bits = window_bits(k)
+        mine = [OddSet(bits.decode(x)) for x in bits.members(bits.encode(lo.lengths), bits.encode(hi.lengths))]
+        assert mine == ref_members(divisor_lattice(k), lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CYCLE_WINDOWS), st.integers(0, 1), st.data())
+    def test_level0_parity_members(self, window, t, data):
+        k, n = window
+        a = data.draw(cycle_sums(divisors(k), n))
+        b = a * data.draw(cycle_sums(divisors(k), n))
+        sol = solve(a, b)
+        assume(small_window(sol, k, 0))
+        mine = list(odd_members(window_bits(k), sol.lambda0, sol.upsilon0, t)())
+        assert mine == ref_level0_parity_members(sol, k, t)
+        assert all(m.parity == t for m in mine)
+
+
+class TestEnumeratorsDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CYCLE_WINDOWS), st.data())
+    def test_enumerate_restricted_same_sequence(self, window, data):
+        k, n = window
+        a = data.draw(cycle_sums(divisors(k), n))
+        y = data.draw(cycle_sums(divisors(k), n))
+        b = a * y if data.draw(st.booleans()) else y
+        sol = solve(a, b)
+        assume(small_window(sol, k, n))
+        assert take(enumerate_restricted(sol, k, n)) == take(ref_enumerate_restricted(sol, k, n))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(MIXED_WINDOWS), st.integers(0, 7), st.booleans(), st.data())
+    def test_divide_full_restricted_same_sequence(self, window, max_height, free, data):
+        # free: no cycle part in the divisor, the branch listing every subset
+        k, max_level = window
+        divs = divisors(k)
+        cycles = CycleSum.zero() if free else data.draw(cycle_sums(divs, max_level, 3))
+        a = Element(chains=data.draw(chain_sums()), cycles=cycles)
+        x = Element(chains=data.draw(chain_sums()), cycles=data.draw(cycle_sums(divs, max_level, 3)))
+        b = a * x if data.draw(st.booleans()) else x
+        mine = take(divide_full_restricted(a, b, k, max_level=max_level, max_height=max_height))
+        want = take(ref_divide_full_restricted(a, b, k, max_level, max_height))
+        assert mine == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1), chain_sums(), chain_sums(), st.booleans(), st.integers(0, 14))
+    def test_chain_members_same_sequence(self, eps, a, b, planted, max_height):
+        a, b = a.parity_part(eps), b.parity_part(eps)
+        if not a:
+            return
+        cd = divide_chains(a, a * b if planted else b, eps)
+        assert take(cd.members(max_height), 2000) == take(ref_chain_members(cd, max_height), 2000)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(1, 1, 6), (3, 1, 4), (15, 0, 4), (15, 1, 4)]), st.booleans(), st.data())
+    def test_divide_full_restricted_equals_exhaustive(self, window, free, data):
+        k, n, h = window
+        space = oracle.SearchSpace(k=k, max_level=n, max_chain=h)
+        assert space.size() <= 1 << 12
+        divs = divisors(k)
+        cycles = CycleSum.zero() if free else data.draw(cycle_sums(divs, n, 3))
+        a = Element(chains=data.draw(chain_sums(h)), cycles=cycles)
+        x = Element(chains=data.draw(chain_sums(h)), cycles=data.draw(cycle_sums(divs, n, 3)))
+        b = a * x if data.draw(st.booleans()) else x
+        mine = list(divide_full_restricted(a, b, k, max_level=n, max_height=h))
+        assert len(mine) == len(set(mine))
+        assert set(mine) == oracle.exhaustive_divide(a, b, space)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_is_reachable(self, data):
+        parts = divisors(315)
+        coeffs = [data.draw(cycle_sums(parts, 2, 4)) for _ in range(4)]
+        p = CubicPoly(*coeffs)
+        s = data.draw(cycle_sums(parts, 2, 4))
+        r0, e = (s + p.d).odd_part, (p.a + p.b + p.c).odd_part
+        if e * r0 == r0:
+            assume(free_atoms(_restriction_modulus(p, s + p.d), r0, e + r0 + ODD_ONE) <= MAX_REF_FREE)
+        assert is_reachable(p, s) == ref_is_reachable(p, s)
+
+
+class TestWindowBounds:
+    def test_too_many_divisors_fails_before_work(self):
+        assert len(divisors(WIDE)) > MAX_BIT_DIVISORS
+        with pytest.raises(ValueError, match="divisors"):
+            window_bits(WIDE)
+        sol = solve(CycleSum.single(3), CycleSum.single(3))
+        with pytest.raises(ValueError, match="divisors"):
+            next(enumerate_restricted(sol, WIDE, 0))
+        one = Element.one()
+        with pytest.raises(ValueError, match="divisors"):
+            next(divide_full_restricted(one, one, WIDE))
+
+    def test_deep_level_bound(self):
+        c3 = CycleSum.single(3)
+        assert next(enumerate_restricted(solve(c3, c3), 3, 5000)) == c3
+        a = Element(chains=ChainSum([1]), cycles=c3)
+        first = next(divide_full_restricted(a, a, 3, max_level=5000))
+        assert a * first == a
+
+    def test_tail_coordinates_are_not_listed(self):
+        t0 = time.perf_counter()
+        cd = divide_chains(ChainSum([1]), ChainSum([1]), 1)
+        first = take(cd.members(10**8), 8)
+        assert time.perf_counter() - t0 < 5
+        assert first == take(ref_chain_members(cd, 15), 8)

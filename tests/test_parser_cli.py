@@ -313,3 +313,38 @@ class TestInputBudgets:
         low = run_cli(capsys, "poly-solve", "--poly", "(x+C2)^2", "--target", "C3", "--json")
         assert high == low
         assert parse_poly("(x+C3)^200001") == parse_poly("(x+C3)^3")
+
+    @pytest.mark.parametrize("a", ["C3", "C3+L1"])
+    def test_deep_level_bound_exits_0_without_traceback(self, a):
+        src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "divide", a, a,
+             "--k", "3", "--n", "5000", "--enumerate", "1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.count("\nsolution:") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("h", ["-3", "1000001", "100000000"])
+    def test_max_chain_out_of_range_is_a_usage_error(self, capsys, h):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["divide", "L1", "L1", "--enumerate", "1", f"--max-chain={h}"])
+        assert exc.value.code == 2
+        assert "--max-chain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["L1", "L1", "--enumerate", "1", "--max-chain", "40"],
+        ["L1", "L1", "--enumerate", "1", "--max-chain", "1000000"],
+        ["C3", "C15", "--k", "765765", "--enumerate", "1"],
+        ["C2", "C2", "--k", "15015", "--n", "1", "--enumerate", "1"],
+        ["L1", "L1", "--k", "15015", "--enumerate", "1"],
+    ])
+    def test_first_solution_does_not_wait_for_the_window(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, "divide", *argv)
+        assert time.perf_counter() - t0 < 5
+        assert code == 0 and out.count("\nsolution:") == 1
