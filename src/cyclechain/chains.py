@@ -12,6 +12,7 @@ the cycle part of the divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -25,7 +26,7 @@ from .division import (
     solve,
 )
 from .formal import FormalSum, ProductRule
-from .lattice import DivisorBits, ones, window_bits
+from .lattice import DivisorBits, ones, submasks, window_bits
 
 
 class ChainSum:
@@ -100,33 +101,31 @@ def mul_chain_cycle(e: int, d: int) -> ChainSum:
     return ChainSum([e]) if d & 1 else CHAIN_ZERO
 
 
-def to_orthogonal(a: ChainSum, eps: int) -> frozenset[int]:
-    """Coordinates of a pure-parity chain sum in the orthogonal basis.
+def _run(n: int, base: int) -> int:
+    """The mask of the n coordinates base, base + 2, ..., base + 2(n - 1)."""
+    return ((1 << 2 * n) - 1) // 3 << base
 
-    Index i carries the parity of the number of chains of length >= i.
-    """
+
+def to_orthogonal(a: ChainSum, eps: int) -> int:
+    """Coordinates of a pure-parity chain sum in the orthogonal basis: bit i
+    of the mask is Z_i, the parity of the number of chains of length >= i."""
     if not a.is_pure(eps):
         raise ValueError(f"chain sum {a} is not purely of parity {eps}")
-    out = set()
+    base = 2 - eps
+    z = 0
     for d in a.lengths:
-        base = 2 - eps
-        out ^= set(range(base, d + 1, 2))
-    return frozenset(out)
+        z ^= _run((d - base) // 2 + 1, base)
+    return z
 
 
-def from_orthogonal(indices: Iterable[int], eps: int) -> ChainSum:
+def from_orthogonal(z: int, eps: int) -> ChainSum:
     """Inverse of ``to_orthogonal``: chain length j appears iff exactly one
     of the coordinates j, j + 2 is set."""
-    idx = frozenset(indices)
-    for i in idx:
-        if i < 1 or i & 1 != eps & 1:
-            raise ValueError(f"coordinate {i} does not have parity {eps}")
     base = 2 - (eps & 1)
-    out = set()
-    for j in range(base, max(idx, default=0) + 1, 2):
-        if (j in idx) != (j + 2 in idx):
-            out.add(j)
-    return ChainSum(out)
+    bad = z & ~_run(z.bit_length() // 2 + 1, base)
+    if bad:
+        raise ValueError(f"coordinate {(bad & -bad).bit_length() - 1} does not have parity {eps}")
+    return ChainSum(ones((z ^ z >> 2) >> base << base))
 
 
 class Element:
@@ -227,6 +226,10 @@ class ChainDivision:
     def nonempty(self) -> bool:
         return self.kind != "empty"
 
+    def _bounds(self) -> tuple[int, int]:
+        """The Z-coordinate masks of lo and hi."""
+        return to_orthogonal(self.lo, self.parity), to_orthogonal(self.hi, self.parity)
+
     def contains(self, x: ChainSum) -> bool:
         if not x.is_pure(self.parity):
             return False
@@ -235,44 +238,45 @@ class ChainDivision:
         if self.kind == "empty":
             return False
         zx = to_orthogonal(x, self.parity)
-        head = frozenset(i for i in zx if i <= self.cutoff)
+        head = zx & ((2 << self.cutoff) - 1)
         if not self.free_tail and head != zx:
             return False
-        zlo = to_orthogonal(self.lo, self.parity)
-        zhi = to_orthogonal(self.hi, self.parity)
-        return zlo <= head and head <= zhi
+        zlo, zhi = self._bounds()
+        return not (zlo & ~head or head & ~zhi)
 
     def members(self, max_height: int) -> Iterator[ChainSum]:
-        """All solutions of height at most max_height, deterministically.
+        """All solutions of height at most max_height >= 0, deterministically.
 
-        The height of a solution is its largest Z-coordinate.  A choice
-        counter over the free head coordinates (ascending) runs outside a
-        counter over the tail coordinates; bit t of the latter adds the
-        t-th tail coordinate, ``first + 2t``, so the tail is never listed.
+        The height of a solution is its largest Z-coordinate.  ``submasks``
+        lists the tail coordinates, then the free head coordinates
+        (ascending), so its counter runs over the head outside the tail;
+        the tail is read only as far as the counter reaches.
         """
+        if max_height < 0:
+            raise ValueError(f"max_height must be >= 0, got {max_height}")
         if self.kind == "empty":
             return
         base = 2 - self.parity
-        head: frozenset[int] = frozenset()
-        free: list[int] = []
+        lo = free = 0
         first = base
         if self.kind == "interval":
-            head = to_orthogonal(self.lo, self.parity)
-            zhi = to_orthogonal(self.hi, self.parity)
-            if not head <= zhi or max(head, default=0) > max_height:
+            lo, hi = self._bounds()
+            if lo & ~hi or lo >> max_height + 1:
                 return
             # free coordinates above the bound come last in the counter,
             # so leaving them out drops exactly the too-high members
-            free = sorted(i for i in zhi - head if i <= max_height)
+            free = hi & ~lo & ((2 << max_height) - 1)
             first = self.cutoff + 1 + (base - self.cutoff - 1) % 2
-            if not self.free_tail:
-                first = max_height + 1
-        tail = max(0, (max_height - first) // 2 + 1)
-        for bits in range(1 << len(free)):
-            coords = head.union(free[t] for t in ones(bits))
-            for tbits in range(1 << tail):
-                z = coords.union(first + 2 * t for t in ones(tbits))
-                yield from_orthogonal(z, self.parity)
+        tail = range(first, max_height + 1, 2) if self.free_tail else ()
+        for z in submasks(lo, chain(tail, ones(free))):
+            yield from_orthogonal(z, self.parity)
+
+
+def _chain_interval(eps: int, cutoff: int, lo: ChainSum, hi: ChainSum, free_tail: bool) -> ChainDivision:
+    """[lo, hi] in the cutoff algebra; empty unless lo <= hi in Z-coordinates."""
+    if to_orthogonal(lo, eps) & ~to_orthogonal(hi, eps):
+        return ChainDivision(parity=eps, cutoff=cutoff, kind="empty")
+    return ChainDivision(eps, cutoff, "interval", lo, hi, free_tail)
 
 
 def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
@@ -288,15 +292,7 @@ def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
     h = a.height
     if b.height > h:
         return ChainDivision(parity=eps, cutoff=h, kind="empty")
-    hi = b + a + ChainSum([h])
-    division = ChainDivision(
-        parity=eps, cutoff=h, kind="interval", lo=b, hi=hi, free_tail=True
-    )
-    zlo = to_orthogonal(b, eps)
-    zhi = to_orthogonal(hi, eps)
-    if not zlo <= zhi:
-        return ChainDivision(parity=eps, cutoff=h, kind="empty")
-    return division
+    return _chain_interval(eps, h, b, b + a + ChainSum([h]), free_tail=True)
 
 
 def _chain_branch(
@@ -314,18 +310,9 @@ def _chain_branch(
         if not a_eps:
             kind = "empty" if target else "all"
             return ChainDivision(parity=eps, cutoff=0, kind=kind)
-        d = divide_chains(a_eps, target, eps)
-        return d
+        return divide_chains(a_eps, target, eps)
     h = max(a_eps.height, b_eps.height)
-    lo = target
-    hi = target + a_eps
-    zlo = to_orthogonal(lo, eps)
-    zhi = to_orthogonal(hi, eps)
-    if not zlo <= zhi:
-        return ChainDivision(parity=eps, cutoff=h, kind="empty")
-    return ChainDivision(
-        parity=eps, cutoff=h, kind="interval", lo=lo, hi=hi, free_tail=False
-    )
+    return _chain_interval(eps, h, target, target + a_eps, free_tail=False)
 
 
 @dataclass(frozen=True)
@@ -412,7 +399,7 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
 def _subsets(divs: list[int], t: Optional[int]) -> Iterator[OddSet]:
     """Every OddSet over divs, by a choice counter whose bit i picks
     divs[i]; only those of support parity t unless t is None."""
-    for c in range(1 << len(divs)):
+    for c in submasks(0, range(len(divs))):
         if t is None or c.bit_count() & 1 == t:
             yield OddSet(divs[i] for i in ones(c))
 
@@ -471,6 +458,8 @@ def divide_full_restricted(
             (br.cutoff for branch in sols.branches for br in branch.chains),
             default=0,
         )
+    if max_level < 0 or max_height < 0:
+        raise ValueError("max_level and max_height must be >= 0")
     for branch in sols.branches:
         if not branch.nonempty:
             continue

@@ -18,7 +18,7 @@ from . import chains as chains_mod
 from . import division, lattice, oracle, poly, structure
 from .chains import Element
 from .cycles import CycleSum, OddSet
-from .parser import ParseError, canonical, parse_element, parse_poly
+from .parser import ParseError, parse_element, parse_poly
 
 
 def element_json(x: Element) -> dict:
@@ -57,7 +57,7 @@ def cmd_eval(args) -> int:
     if args.json:
         print(json.dumps(element_json(x)))
     else:
-        print(canonical(x))
+        print(x)
     return 0
 
 
@@ -79,11 +79,9 @@ def _divide_cycles(a: CycleSum, b: CycleSum, args) -> int:
             "cycles": cyclesum_json(division.min_solution(sol)),
             "chains": [],
         }
+    sols: list = []
     if args.enumerate is not None:
-        if args.k is not None:
-            k = args.k
-        else:
-            k = math.lcm(sol.a.stats()[0], sol.b.stats()[0])
+        k = args.k if args.k is not None else math.lcm(sol.a.stats()[0], sol.b.stats()[0])
         n = args.n if args.n is not None else max(a.max_level, b.max_level)
         sols = list(
             itertools.islice(
@@ -102,9 +100,8 @@ def _divide_cycles(a: CycleSum, b: CycleSum, args) -> int:
             for i, (lo, hi) in enumerate(sol.head, start=1):
                 print(f"level {i} interval: [{lo}, {hi}]")
             print(f"tail bound (levels > {sol.n}): {sol.tail_hi}")
-            if "solutions" in payload:
-                for x in payload["solutions"]:
-                    print("solution:", canonical(Element.from_cycles(CycleSum.from_lengths(x))))
+            for x in sols:
+                print("solution:", x)
     return 0 if sol.solvable else 1
 
 
@@ -138,15 +135,13 @@ def _divide_mixed(a: Element, b: Element, args) -> int:
         payload["branches"].append(
             {"t": br.t, "nonempty": br.nonempty, "cycle": cyc, "chains": chains_payload}
         )
+    sols_list: list = []
     if args.enumerate is not None:
-        if args.k is None:
-            args_k = math.lcm(a.cycles.stats()[0], b.cycles.stats()[0])
-        else:
-            args_k = args.k
+        k = args.k if args.k is not None else math.lcm(a.cycles.stats()[0], b.cycles.stats()[0])
         sols_list = list(
             itertools.islice(
                 chains_mod.divide_full_restricted(
-                    a, b, args_k, max_level=args.n, max_height=args.max_chain
+                    a, b, k, max_level=args.n, max_height=args.max_chain
                 ),
                 args.enumerate,
             )
@@ -161,13 +156,8 @@ def _divide_mixed(a: Element, b: Element, args) -> int:
             for br in sols.branches:
                 status = "nonempty" if br.nonempty else "empty"
                 print(f"branch t={br.t}: {status}")
-            if "solutions" in payload:
-                for xj in payload["solutions"]:
-                    x = Element(
-                        chains=chains_mod.ChainSum(xj["chains"]),
-                        cycles=CycleSum.from_lengths(xj["cycles"]),
-                    )
-                    print("solution:", canonical(x))
+            for x in sols_list:
+                print("solution:", x)
     return 0 if sols.solvable else 1
 
 
@@ -199,7 +189,7 @@ def cmd_annihilators(args) -> int:
             )
         )
     else:
-        print(f"z annihilates {canonical(Element.from_cycles(a))} iff")
+        print(f"z annihilates {a} iff")
         print(f"  level-0 part of z is below {ann.odd_bound}")
         print(f"  and the closure of z is below {ann.closure_bound}")
     return 0
@@ -333,9 +323,12 @@ def cmd_oracle_product(args) -> int:
         oracle.ComponentMultiset.from_element(a),
         oracle.ComponentMultiset.from_element(b),
     )
-    explicit = oracle.decompose(
-        oracle.product(oracle.digraph_from_element(a), oracle.digraph_from_element(b))
-    )
+    try:
+        g = oracle.product(oracle.digraph_from_element(a), oracle.digraph_from_element(b))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    explicit = oracle.decompose(g)
     if cm != explicit:
         print("error: closed form and explicit product disagree", file=sys.stderr)
         return 1
@@ -351,7 +344,7 @@ def cmd_oracle_product(args) -> int:
         )
     else:
         print(cm)
-        print(f"mod 2: {canonical(oracle.mod2(cm))}")
+        print(f"mod 2: {oracle.mod2(cm)}")
     return 0
 
 
@@ -362,7 +355,7 @@ def cmd_oracle_check_divide(args) -> int:
         k=args.k, max_level=args.n, max_chain=args.max_chain
     )
     try:
-        sols = sorted(oracle.exhaustive_divide(a, b, space), key=canonical)
+        sols = sorted(oracle.exhaustive_divide(a, b, space), key=str)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,7 +365,7 @@ def cmd_oracle_check_divide(args) -> int:
         if not sols:
             print("no solution in the window")
         for x in sols:
-            print(canonical(x))
+            print(x)
     return 0 if sols else 1
 
 
@@ -412,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--k", type=int, default=None, help="odd modulus for restricted enumeration")
-    p.add_argument("--n", type=int, default=None, help="level bound for restricted enumeration")
-    p.add_argument(
-        "--max-chain", type=functools.partial(_count, cap=10**6), default=None,
-        help="chain height bound (mixed inputs), 0 to 10^6",
-    )
+    p.add_argument("--n", type=functools.partial(_count, cap=10**5), default=None,
+                   help="level bound for restricted enumeration, 0 to 10^5")
+    p.add_argument("--max-chain", type=functools.partial(_count, cap=10**6), default=None,
+                   help="chain height bound (mixed inputs), 0 to 10^6")
     p.add_argument("--enumerate", type=_count, default=None, metavar="M", help="list up to M solutions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_divide)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -415,9 +414,8 @@ class Interval:
         base = atoms_below(self.lo)
         free = sorted(atoms_below(self.hi) - base, key=lat.index.__getitem__)
         base_elem = from_atoms(lat, base)
-        for choice in range(1 << len(free)):
-            extra = [free[t] for t in range(len(free)) if choice >> t & 1]
-            yield base_elem + from_atoms(lat, extra)
+        for choice in submasks(0, range(len(free))):
+            yield base_elem + from_atoms(lat, [free[t] for t in ones(choice)])
 
 
 def interval_parity_split(iv: Interval, l: Hashable) -> tuple[Interval, Interval]:
@@ -579,19 +577,31 @@ class DivisorBits:
     def members(self, lo: int, hi: int) -> Iterator[int]:
         """The masks of the interval [lo, hi], lazily; none unless lo <= hi.
 
-        A member is lo plus a subset of the free atoms ``hi & ~lo``.  Bit t
-        of a choice counter adds the atom of the t-th smallest free
-        divisor, the order of ``Interval.members``.  Counting up to c
-        clears the atoms below the lowest set bit of c and adds that one:
-        one XOR per member.
+        A member is lo plus a subset of the free atoms ``hi & ~lo``, listed
+        by ``submasks`` with the free atoms sorted by divisor: the order of
+        ``Interval.members``.
         """
         if lo & ~hi:
-            return
-        free = sorted(ones(hi & ~lo), key=self.divisors.__getitem__)
-        flips = list(accumulate((1 << t for t in free), int.__or__))
-        x = lo
-        yield x
-        for c in range(1, 1 << len(free)):
+            return iter(())
+        return submasks(lo, sorted(ones(hi & ~lo), key=self.divisors.__getitem__))
+
+
+def submasks(lo: int, positions: Iterable[int]) -> Iterator[int]:
+    """lo with each subset of the bits at ``positions`` set, lazily.
+
+    Bit t of a choice counter sets ``positions[t]``.  Counting up to c
+    clears the positions below the lowest set bit of c and sets that one:
+    one XOR per member.  A position is read only when the counter first
+    reaches it, so a long iterable of positions is never listed.
+    """
+    x = lo
+    yield x
+    flips: list[int] = []
+    acc = 0
+    for p in positions:
+        acc |= 1 << p
+        flips.append(acc)
+        for c in range(1 << len(flips) - 1, 1 << len(flips)):
             x ^= flips[(c & -c).bit_length() - 1]
             yield x
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
-from .lattice import divisor_count, divisors
+from .lattice import divisor_count, divisors, ones
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,15 @@ class Digraph:
         return cls(0, ())
 
 
+MAX_PRODUCT_VERTICES = 4 * 10**6
+
+
 def product(g: Digraph, h: Digraph) -> Digraph:
-    """Direct product: arcs exist where both factors have one."""
+    """Direct product: arcs exist where both factors have one.  ValueError
+    before any work beyond ``MAX_PRODUCT_VERTICES`` vertices."""
     n = g.n * h.n
+    if n > MAX_PRODUCT_VERTICES:
+        raise ValueError(f"product of {n} vertices exceeds the limit of {MAX_PRODUCT_VERTICES}")
     succ: list[Optional[int]] = [None] * n
     for u in range(g.n):
         gu = g.succ[u]
@@ -380,15 +386,14 @@ class _SpaceTables:
         cached = self._rows.get(t)
         if cached is not None:
             return cached
-        lane_bytes = self.lane // 8
-        row = [0] * self.count
-        pt = self._pair[t]
-        for x_mask in range(1, self.count):
-            low = x_mask & -x_mask
-            row[x_mask] = row[x_mask ^ low] ^ pt[low.bit_length() - 1]
-        packed = int.from_bytes(
-            b"".join(v.to_bytes(lane_bytes, "little") for v in row), "little"
-        )
+        # the lanes of the candidates with bit u set are those without it,
+        # each XOR the product with generator u: one doubling step per bit
+        lane = self.lane
+        packed = 0
+        for u, v in enumerate(self._pair[t]):
+            width = lane << u
+            ones_per_lane = ((1 << width) - 1) // ((1 << lane) - 1)
+            packed |= (packed ^ v * ones_per_lane) << width
         self._rows[t] = packed
         return packed
 
@@ -423,7 +428,7 @@ def exhaustive_divide(
     Products come from the natural-number component formulas reduced mod 2
     (never the level shortcut); the divisor must live inside the window.
     """
-    if space.generator_count() > 24:
+    if space.generator_count() > 20:
         raise ValueError(
             f"search space of 2**{space.generator_count()} candidates is too large"
         )
@@ -436,15 +441,14 @@ def exhaustive_divide(
         # products of window elements stay inside the window
         return frozenset()
     acc = 0
-    rest = a_mask
-    while rest:
-        t = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
+    for t in ones(a_mask):
         acc ^= tables.row(t)
-    out = []
-    lane = tables.lane
-    lane_mask = (1 << lane) - 1
-    for x_mask in range(tables.count):
-        if (acc >> (x_mask * lane)) & lane_mask == b_mask:
-            out.append(tables.element_of(x_mask))
-    return frozenset(out)
+    # one conversion to bytes, then one lane slice per candidate
+    width = tables.lane // 8
+    packed = acc.to_bytes(tables.count * width, "little")
+    want = b_mask.to_bytes(width, "little")
+    return frozenset(
+        tables.element_of(x_mask)
+        for x_mask in range(tables.count)
+        if packed[x_mask * width : (x_mask + 1) * width] == want
+    )

@@ -297,8 +297,3 @@ def parse_poly(text: str) -> CubicPoly:
     """Parse a univariate polynomial over cycle sums into reduced form."""
     coeffs = _eval_poly_node(parse(text, allow_var=True))
     return reduce_poly(coeffs)
-
-
-def canonical(x: Element) -> str:
-    """Canonical text form: ascending cycles, then ascending chains."""
-    return str(x)

@@ -3,7 +3,8 @@
 The ``ref_*`` functions are the interval enumerators the lazy ones
 replaced: every member of every level is built as an ``Interval`` of
 ``BoolElem`` values over ``divisor_lattice(k)`` before the first solution
-is emitted.  The lazy code must yield the same solutions in the same order.
+is emitted, and chain Z-coordinates are sets of indices.  The lazy code
+must yield the same solutions in the same order.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cyclechain import oracle
 from cyclechain.chains import (
     ChainDivision,
+    _chain_branch,
     ChainSum,
     Element,
     divide_chains,
@@ -40,6 +42,8 @@ from cyclechain.lattice import (
     divisor_lattice,
     divisors,
     interval_parity_split,
+    ones,
+    submasks,
     window_bits,
 )
 from cyclechain.poly import CubicPoly, _restriction_modulus, is_reachable
@@ -89,6 +93,33 @@ def ref_level0_parity_members(sol, k, t):
     return [OddSet(m.support()) for m in part.members()]
 
 
+def ref_to_orthogonal(a: ChainSum, eps: int) -> frozenset[int]:
+    """Z-coordinates of a pure-parity chain sum as a set of indices: index i
+    carries the parity of the number of chains of length >= i."""
+    if not a.is_pure(eps):
+        raise ValueError(f"chain sum {a} is not purely of parity {eps}")
+    out = set()
+    for d in a.lengths:
+        base = 2 - eps
+        out ^= set(range(base, d + 1, 2))
+    return frozenset(out)
+
+
+def ref_from_orthogonal(indices, eps: int) -> ChainSum:
+    """Inverse of ``ref_to_orthogonal``: chain length j appears iff exactly
+    one of the coordinates j, j + 2 is set."""
+    idx = frozenset(indices)
+    for i in idx:
+        if i < 1 or i & 1 != eps & 1:
+            raise ValueError(f"coordinate {i} does not have parity {eps}")
+    base = 2 - (eps & 1)
+    out = set()
+    for j in range(base, max(idx, default=0) + 1, 2):
+        if (j in idx) != (j + 2 in idx):
+            out.add(j)
+    return ChainSum(out)
+
+
 def ref_chain_members(cd: ChainDivision, max_height):
     if cd.kind == "empty":
         return
@@ -96,12 +127,12 @@ def ref_chain_members(cd: ChainDivision, max_height):
     if cd.kind == "all":
         coords = list(range(base, max_height + 1, 2))
         for bits in range(1 << len(coords)):
-            yield from_orthogonal(
+            yield ref_from_orthogonal(
                 [coords[t] for t in range(len(coords)) if bits >> t & 1], cd.parity
             )
         return
-    zlo = to_orthogonal(cd.lo, cd.parity)
-    zhi = to_orthogonal(cd.hi, cd.parity)
+    zlo = ref_to_orthogonal(cd.lo, cd.parity)
+    zhi = ref_to_orthogonal(cd.hi, cd.parity)
     if not zlo <= zhi:
         return
     free = sorted(zhi - zlo)
@@ -114,7 +145,7 @@ def ref_chain_members(cd: ChainDivision, max_height):
         for tbits in range(1 << len(tail)):
             coords = set(head)
             coords.update(tail[t] for t in range(len(tail)) if tbits >> t & 1)
-            x = from_orthogonal(coords, cd.parity)
+            x = ref_from_orthogonal(coords, cd.parity)
             if x.height <= max_height:
                 yield x
 
@@ -299,6 +330,17 @@ class TestEnumeratorsDifferential:
         cd = divide_chains(a, a * b if planted else b, eps)
         assert take(cd.members(max_height), 2000) == take(ref_chain_members(cd, max_height), 2000)
 
+    def test_chain_members_every_small_interval(self):
+        # both tail kinds, every height bound of either parity near the cutoff
+        for eps in (0, 1):
+            lengths = range(2 - eps, 9, 2)
+            sums = [ChainSum(c) for r in range(5) for c in itertools.combinations(lengths, r)]
+            for a in sums[1:]:
+                for b in sums:
+                    for cd in (divide_chains(a, b, eps), _chain_branch(a, b, eps, 0, 1)):
+                        for max_height in range(10):
+                            assert list(cd.members(max_height)) == list(ref_chain_members(cd, max_height))
+
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([(1, 1, 6), (3, 1, 4), (15, 0, 4), (15, 1, 4)]), st.booleans(), st.data())
     def test_divide_full_restricted_equals_exhaustive(self, window, free, data):
@@ -327,6 +369,59 @@ class TestEnumeratorsDifferential:
         assert is_reachable(p, s) == ref_is_reachable(p, s)
 
 
+def pure_chain_sums(eps, max_len=40, max_terms=5):
+    return st.lists(st.integers(0, (max_len - 1) // 2), max_size=max_terms).map(
+        lambda ts: ChainSum(2 * t + 2 - eps for t in ts)
+    )
+
+
+class TestChainMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1), st.data())
+    def test_mask_and_set_coordinates_agree(self, eps, data):
+        a = data.draw(pure_chain_sums(eps))
+        z = to_orthogonal(a, eps)
+        assert sorted(ones(z)) == sorted(ref_to_orthogonal(a, eps))
+        coords = data.draw(st.sets(st.integers(0, 30).map(lambda t: 2 * t + 2 - eps)))
+        mask = sum(1 << i for i in coords)
+        assert from_orthogonal(mask, eps) == ref_from_orthogonal(coords, eps)
+        assert from_orthogonal(z, eps) == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1), st.data())
+    def test_wrong_parity_coordinates_rejected(self, eps, data):
+        coords = data.draw(st.sets(st.integers(0, 30).map(lambda t: 2 * t + 2 - eps)))
+        bad = data.draw(st.sampled_from([0]) | st.integers(0, 30).map(lambda t: 2 * t + 1 + eps))
+        mask = sum(1 << i for i in coords | {bad})
+        with pytest.raises(ValueError, match="parity"):
+            ref_from_orthogonal(coords | {bad}, eps)
+        with pytest.raises(ValueError, match=f"coordinate {bad} "):
+            from_orthogonal(mask, eps)
+        with pytest.raises(ValueError):
+            from_orthogonal(-1 - mask, eps)
+
+
+class TestSubmasks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1 << 12), st.lists(st.integers(0, 40), unique=True, max_size=8))
+    def test_order_of_a_plain_counter(self, lo, positions):
+        lo &= ~sum(1 << p for p in positions)
+        want = [lo | sum(1 << positions[t] for t in ones(c)) for c in range(1 << len(positions))]
+        assert list(submasks(lo, positions)) == want
+        assert list(submasks(0, range(len(positions)))) == list(range(1 << len(positions)))
+
+    def test_positions_read_only_when_reached(self):
+        read = []
+
+        def positions():
+            for p in itertools.count():
+                read.append(p)
+                yield p
+
+        assert take(submasks(0, positions()), 9) == list(range(9))
+        assert read == [0, 1, 2, 3]
+
+
 class TestWindowBounds:
     def test_too_many_divisors_fails_before_work(self):
         assert len(divisors(WIDE)) > MAX_BIT_DIVISORS
@@ -352,3 +447,17 @@ class TestWindowBounds:
         first = take(cd.members(10**8), 8)
         assert time.perf_counter() - t0 < 5
         assert first == take(ref_chain_members(cd, 15), 8)
+
+    def test_chain_solution_cost_does_not_grow_with_height(self):
+        a = Element(chains=ChainSum([100001]), cycles=CycleSum.from_lengths([3, 5]))
+        t0 = time.perf_counter()
+        sols = take(divide_full_restricted(a, a, 15), 200)
+        assert time.perf_counter() - t0 < 2
+        assert len(sols) == len(set(sols)) == 200
+
+    def test_negative_bounds_rejected(self):
+        a = Element(chains=ChainSum([1]), cycles=CycleSum.single(3))
+        with pytest.raises(ValueError, match=">= 0"):
+            next(divide_full_restricted(a, a, 3, max_level=-1))
+        with pytest.raises(ValueError, match=">= 0"):
+            next(divide_full_restricted(a, a, 3, max_height=-1))

@@ -16,7 +16,6 @@ from cyclechain.parser import (
     Atom,
     Mul,
     ParseError,
-    canonical,
     parse,
     parse_element,
     parse_poly,
@@ -75,11 +74,11 @@ class TestParse:
     def test_roundtrip_on_canonical_forms(self, rng):
         for _ in range(200):
             x = rand_element(rng)
-            assert parse_element(canonical(x)) == x
+            assert parse_element(str(x)) == x
 
     def test_print_order(self):
         x = Element(chains=ChainSum([5, 2]), cycles=CycleSum.from_lengths([10, 1]))
-        assert canonical(x) == "C1 + C10 + L2 + L5"
+        assert str(x) == "C1 + C10 + L2 + L5"
 
 
 class TestParsePoly:
@@ -299,6 +298,41 @@ class TestInputBudgets:
         assert code == 2
         assert "2**40 candidates" in capsys.readouterr().err
         assert time.perf_counter() - t0 < 5
+
+    def test_check_divide_scans_the_largest_window(self, capsys):
+        # 20 divisors: the 2**20 window, the largest the scan accepts
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, "oracle", "check-divide", "C3", "C3", "--k", "999999999")
+        assert time.perf_counter() - t0 < 10
+        assert code == 0 and out.splitlines()[0] == "C1"
+        code = cli.main(["oracle", "check-divide", "C3", "C3", "--k", "999999999", "--max-chain", "1"])
+        assert code == 2
+        assert "2**21 candidates" in capsys.readouterr().err
+
+    def test_oracle_product_vertex_budget(self, capsys):
+        src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "oracle", "product", "C1000000", "C1000000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 2
+        assert "exceeds the limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        code, out = run_cli(capsys, "oracle", "product", "C1500", "C1500")
+        assert code == 0 and out.startswith("1500C1500")
+
+    @pytest.mark.parametrize("a", ["C3", "C3+L1"])
+    @pytest.mark.parametrize("n", ["-1", "100001", "10000000"])
+    def test_level_bound_out_of_range_is_a_usage_error(self, capsys, a, n):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["divide", a, a, "--enumerate", "1", f"--n={n}"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
 
     def test_negative_enumerate_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
