@@ -200,33 +200,26 @@ def cmd_atoms(args) -> int:
     if k < 1 or k % 2 == 0 or k > 10**6:
         print("error: k must be odd, positive and at most 10^6", file=sys.stderr)
         return 2
-    lat = lattice.divisor_lattice(k)
-    lines = []
-    divisors = list(lat.elements)
-    for j in divisors:
-        atom = lattice.divisor_atom(k, j)
-        body = " + ".join(f"C{l}" for l in sorted(atom.support()))
-        lines.append(f"T{j} = {body}")
-    for i in divisors:
-        expansion = lattice.divisor_atom_indices(k, i)
-        body = " + ".join(f"T{j}" for j in expansion)
-        lines.append(f"C{i} = {body}")
+    divisors = lattice.divisor_lattice(k).elements
+    atoms = {j: sorted(lattice.divisor_atom(k, j).support()) for j in divisors}
+    expansions = {i: lattice.divisor_atom_indices(k, i) for i in divisors}
     if args.json:
         print(
             json.dumps(
                 {
-                    "atoms": {
-                        str(j): [int(l) for l in sorted(lattice.divisor_atom(k, j).support())]
-                        for j in divisors
-                    },
+                    "atoms": {str(j): [int(l) for l in atom] for j, atom in atoms.items()},
                     "expansions": {
-                        str(i): [int(j) for j in lattice.divisor_atom_indices(k, i)]
-                        for i in divisors
+                        str(i): [int(j) for j in expansion] for i, expansion in expansions.items()
                     },
                 }
             )
         )
     else:
+        lines = [f"T{j} = " + " + ".join(f"C{l}" for l in atom) for j, atom in atoms.items()]
+        lines += [
+            f"C{i} = " + " + ".join(f"T{j}" for j in expansion)
+            for i, expansion in expansions.items()
+        ]
         print("\n".join(lines))
     return 0
 
@@ -376,16 +369,22 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _count(text: str, cap: Optional[int] = None) -> int:
-    """argparse type for a count of items: an int >= 0, at most cap."""
+def _at_most(text: str, cap: Optional[int] = None) -> int:
+    """argparse type for an int at most cap."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     if cap is not None and n > cap:
         raise argparse.ArgumentTypeError(f"must be <= {cap}, got {n}")
+    return n
+
+
+def _count(text: str, cap: Optional[int] = None) -> int:
+    """argparse type for a count of items: an int >= 0, at most cap."""
+    n = _at_most(text, cap)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
 
@@ -459,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("check-divide", help="brute-force a*x = b in a window")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--k", type=int, default=1)
+    # only the size of --k is checked here, so that factoring it cannot
+    # run away; a k that is not odd and positive is the window's error
+    p.add_argument("--k", type=functools.partial(_at_most, cap=oracle.MAX_SPACE_K),
+                   default=1, help="odd modulus of the window, at most 10^12")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--max-chain", type=int, default=0)
     p.add_argument("--json", action="store_true")

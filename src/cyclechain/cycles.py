@@ -38,6 +38,13 @@ class OddSet:
                 raise ValueError(f"odd cycle length required, got {q}")
         self.lengths: frozenset[int] = ls
 
+    @classmethod
+    def _make(cls, lengths: frozenset[int]) -> "OddSet":
+        """Wrap lengths already known to be odd and positive, unchecked."""
+        out = cls.__new__(cls)
+        out.lengths = lengths
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.lengths)
 
@@ -154,16 +161,26 @@ class CycleSum:
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "CycleSum":
         """Build from a multiset of lengths, keeping odd multiplicities."""
-        support: set[int] = set()
-        for q in lengths:
-            if q < 1:
-                raise ValueError(f"cycle length must be >= 1, got {q}")
-            support ^= {q}
+        ls = list(lengths)
+        if ls and min(ls) < 1:
+            q = next(q for q in ls if q < 1)
+            raise ValueError(f"cycle length must be >= 1, got {q}")
+        support = set(ls)
+        if len(support) < len(ls):
+            support = set()
+            for q in ls:
+                support ^= {q}
+        # odd parts grouped in sets: a frozenset copied from a set gets a
+        # smaller table than one built from a list
         grouped: dict[int, set[int]] = {}
         for q in support:
-            i, odd = split_length(q)
-            grouped.setdefault(i, set()).add(odd)
-        return cls._make({i: OddSet(odds) for i, odds in grouped.items()})
+            level = (q & -q).bit_length() - 1
+            odds = grouped.get(level)
+            if odds is None:
+                grouped[level] = {q >> level}
+            else:
+                odds.add(q >> level)
+        return cls._make({i: OddSet._make(frozenset(odds)) for i, odds in grouped.items()})
 
     def level(self, i: int) -> OddSet:
         """The idempotent at dyadic level i (empty when absent)."""

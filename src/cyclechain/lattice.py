@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -64,41 +65,58 @@ class FiniteLattice:
                     return _t[(a, b)]
                 return _t[(b, a)]
 
-        m = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
+        elems = self.elements
+        index = self.index
+        m: list[tuple[int, ...]] = []
+        for a in elems:
+            row = []
+            for b in elems:
                 v = lookup(a, b)
-                if v not in self.index:
+                if v not in index:
                     raise ValueError(f"meet({a!r}, {b!r}) = {v!r} not in ground set")
-                m[i][j] = self.index[v]
+                row.append(index[v])
+            m.append(tuple(row))
         self._meet = m
 
-        for i in range(n):
-            if m[i][i] != i:
-                raise ValueError(f"meet not idempotent at {self.elements[i]!r}")
-            for j in range(n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError(
-                        f"meet not commutative at ({self.elements[i]!r}, "
-                        f"{self.elements[j]!r})"
-                    )
-        for i in range(n):
-            for j in range(n):
-                mij = m[i][j]
-                for k in range(n):
-                    if m[mij][k] != m[i][m[j][k]]:
-                        raise ValueError(
-                            "meet not associative at "
-                            f"({self.elements[i]!r}, {self.elements[j]!r}, "
-                            f"{self.elements[k]!r})"
-                        )
+        cols = list(zip(*m))
+        for i, row in enumerate(m):
+            if row[i] != i:
+                raise ValueError(f"meet not idempotent at {elems[i]!r}")
+            if row != cols[i]:
+                j = next(j for j in range(n) if row[j] != cols[i][j])
+                raise ValueError(
+                    f"meet not commutative at ({elems[i]!r}, {elems[j]!r})"
+                )
+        # Associativity over all n^3 triples, a matrix at a time in C: with
+        # the meet commutative, (i j) k = i (j k) for all i, k says that the
+        # rows m[m[i][j]] (i = 0..n-1) form a symmetric matrix A_j, since
+        # A_j[k][i] = m[m[k][j]][i] = m[i][m[j][k]].  A failure is located
+        # by the triple loop, so it names the first failing (i, j, k).
+        for col in cols:
+            rows = [m[t] for t in col]
+            if list(zip(*rows)) != rows:
+                i, j, k = next(
+                    (i, j, k)
+                    for i in range(n)
+                    for j in range(n)
+                    for k in range(n)
+                    if m[m[i][j]][k] != m[i][m[j][k]]
+                )
+                raise ValueError(
+                    "meet not associative at "
+                    f"({elems[i]!r}, {elems[j]!r}, {elems[k]!r})"
+                )
 
-        # order: a <= b iff a meet b = a
-        leq = [[m[i][j] == i for j in range(n)] for i in range(n)]
-        self._leq = leq
+        # order: a <= b iff a meet b = a.  Bit j of _up[i] is set when
+        # i <= j, bit j of down[i] when j <= i.
+        bits = [1 << j for j in range(n)]
+        up = [sum(compress(bits, map(i.__eq__, row))) for i, row in enumerate(m)]
+        down = [sum(compress(bits, map(int.__eq__, row, range(n)))) for row in m]
+        self._up = up
 
-        tops = [j for j in range(n) if all(leq[i][j] for i in range(n))]
-        bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+        full = (1 << n) - 1
+        tops = [j for j in range(n) if down[j] == full]
+        bottoms = [i for i in range(n) if up[i] == full]
         if len(tops) != 1 or len(bottoms) != 1:
             raise ValueError("lattice must have a unique top and bottom")
         self._top_idx = tops[0]
@@ -106,19 +124,18 @@ class FiniteLattice:
 
         # descending linear extension: element i precedes j whenever i >= j
         self._toporder: tuple[int, ...] = tuple(
-            sorted(range(n), key=lambda i: (sum(leq[i]), i))
+            sorted(range(n), key=lambda i: (up[i].bit_count(), i))
         )
         # covers by transitive reduction: j covered by i if j < i with
-        # nothing strictly between
+        # nothing strictly between, i.e. j is strictly below i but not
+        # strictly below any other element strictly below i
+        strict = [d & ~(1 << i) for i, d in enumerate(down)]
         self._covers_below: list[tuple[int, ...]] = []
-        for i in range(n):
-            below = [j for j in range(n) if j != i and leq[j][i]]
-            cov = [
-                j
-                for j in below
-                if not any(k != j and leq[j][k] for k in below)
-            ]
-            self._covers_below.append(tuple(sorted(cov)))
+        for below in strict:
+            deeper = 0
+            for k in ones(below):
+                deeper |= strict[k]
+            self._covers_below.append(tuple(ones(below & ~deeper)))
         self._atom_masks: dict[int, int] = {}
 
     # -- basic structure -------------------------------------------------
@@ -137,21 +154,33 @@ class FiniteLattice:
     def __repr__(self) -> str:
         return f"FiniteLattice({list(self.elements)!r})"
 
+    def __eq__(self, other: object) -> bool:
+        """Same elements in the same order and the same meet: a rebuilt
+        lattice equals the one it replaces, so sum-algebra values over the
+        two compare and combine."""
+        return self is other or (
+            isinstance(other, FiniteLattice)
+            and self.elements == other.elements
+            and self._meet == other._meet
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
     def meet(self, a: Hashable, b: Hashable) -> Hashable:
         return self.elements[self._meet[self.index[a]][self.index[b]]]
 
     def join(self, a: Hashable, b: Hashable) -> Hashable:
         """Least upper bound (exists: the ground set is finite and bounded)."""
-        i, j = self.index[a], self.index[b]
-        leq = self._leq
-        upper = [k for k in range(len(self.elements)) if leq[i][k] and leq[j][k]]
-        least = [k for k in upper if all(leq[k][l] for l in upper)]
+        up = self._up
+        upper = up[self.index[a]] & up[self.index[b]]
+        least = [k for k in ones(upper) if up[k] & upper == upper]
         if len(least) != 1:
             raise ValueError(f"no unique join for ({a!r}, {b!r})")
         return self.elements[least[0]]
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
-        return self._leq[self.index[a]][self.index[b]]
+        return bool(self._up[self.index[a]] >> self.index[b] & 1)
 
     def covers_below(self, a: Hashable) -> tuple:
         """Elements covered by a: strictly below with nothing in between."""
@@ -198,12 +227,13 @@ class FiniteLattice:
         return cls(elems, glb)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def divisor_lattice(k: int) -> FiniteLattice:
     """Divisors of odd k ordered by reverse divisibility; meet is lcm.
 
-    Cached so that repeated calls share one lattice object (sum-algebra
-    values are only comparable over the identical lattice).
+    Cached so that repeated calls share one lattice object.  The cache keeps
+    the 32 most recently used lattices; a lattice built again after its
+    eviction equals the old one, so values over either still combine.
     """
     return FiniteLattice(divisors(k), math.lcm)
 
@@ -245,7 +275,7 @@ class BoolElem:
         return out
 
     def _check(self, other: "BoolElem") -> None:
-        if self.lattice is not other.lattice:
+        if self.lattice != other.lattice:
             raise ValueError("operands belong to different lattices")
 
     def support(self) -> tuple:
@@ -261,12 +291,12 @@ class BoolElem:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BoolElem)
-            and self.lattice is other.lattice
             and self.bits == other.bits
+            and self.lattice == other.lattice
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.lattice), self.bits))
+        return hash((self.lattice, self.bits))
 
     def __add__(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
@@ -318,24 +348,12 @@ def _atom_mask(lat: FiniteLattice, li: int) -> int:
     cached = lat._atom_masks.get(li)
     if cached is not None:
         return cached
-    leq = lat._leq
+    up = lat._up
     # walk the down-set of l in descending order; an element joins the
     # atom exactly when it sees an odd number of chosen elements above it
     mask = 0
     for i in lat._toporder:
-        if not leq[i][li]:
-            continue
-        if i == li:
-            mask |= 1 << i
-            continue
-        above = 0
-        sel = mask
-        while sel:
-            j = (sel & -sel).bit_length() - 1
-            sel &= sel - 1
-            if leq[i][j] and i != j:
-                above ^= 1
-        if above:
+        if up[i] >> li & 1 and (i == li or (mask & up[i]).bit_count() & 1):
             mask |= 1 << i
     lat._atom_masks[li] = mask
     return mask
@@ -390,7 +408,7 @@ class Interval:
     hi: BoolElem
 
     def __post_init__(self):
-        if self.lo.lattice is not self.hi.lattice:
+        if self.lo.lattice != self.hi.lattice:
             raise ValueError("interval endpoints in different lattices")
 
     @property

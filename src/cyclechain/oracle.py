@@ -276,20 +276,24 @@ def closed_form_product(
     return out
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each of the single-component product caches.
+PAIR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_cc(d: int, e: int) -> ComponentMultiset:
     from math import gcd, lcm
 
     return ComponentMultiset({lcm(d, e): gcd(d, e)}, {})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_lc(e: int, d: int) -> ComponentMultiset:
     # chain of length e times cycle of length d: d copies of the chain
     return ComponentMultiset({}, {e: d})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_ll(d: int, e: int) -> ComponentMultiset:
     m = min(d, e)
     chains = {m: abs(d - e) + 1}
@@ -316,6 +320,11 @@ def oracle_mul(a: Element, b: Element) -> Element:
     )
 
 
+# Largest window modulus: counting its divisors takes at most 5 * 10**5 trial
+# divisions.
+MAX_SPACE_K = 10**12
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Finite candidate window: chain lengths up to max_chain, cycle odd
@@ -334,6 +343,8 @@ class SearchSpace:
         """len(generators()), counted without listing them."""
         if self.max_level < 0 or self.max_chain < 0:
             raise ValueError("window bounds must be >= 0")
+        if self.k > MAX_SPACE_K:
+            raise ValueError(f"k={self.k} exceeds the limit of {MAX_SPACE_K}")
         return divisor_count(self.k) * (self.max_level + 1) + self.max_chain
 
     def size(self) -> int:

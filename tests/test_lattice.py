@@ -106,6 +106,23 @@ class TestAlgebraOps:
         with pytest.raises(ValueError):
             a * b
 
+    def test_rebuilt_lattice_combines_with_the_evicted_one(self):
+        old = divisor_atom(45, 3)
+        for k in range(101, 101 + 2 * (divisor_lattice.cache_info().maxsize + 1), 2):
+            divisor_lattice(k)
+        new = divisor_atom(45, 3)
+        assert new.lattice is not old.lattice and new.lattice == old.lattice
+        assert new == old and hash(new) == hash(old)
+        assert not old + new
+        assert old * new == old
+        assert old in Interval(new, new)
+
+    def test_lattices_with_one_ground_set_and_two_meets_differ(self):
+        up, down = FiniteLattice((0, 1, 2), min), FiniteLattice((0, 1, 2), max)
+        assert up != down
+        with pytest.raises(ValueError):
+            BoolElem(up, [1]) + BoolElem(down, [1])
+
     def test_join_and_order(self):
         lat = divisor_lattice(15)
         a = BoolElem(lat, [1, 3])

@@ -5,6 +5,8 @@ import pytest
 from cyclechain.chains import ChainSum, Element
 from cyclechain.cycles import CycleSum
 from cyclechain.oracle import (
+    MAX_SPACE_K,
+    PAIR_CACHE_SIZE,
     ComponentMultiset,
     Digraph,
     SearchSpace,
@@ -18,7 +20,12 @@ from cyclechain.oracle import (
     oracle_mul,
     product,
     weak_components,
+    _pair_cc,
+    _pair_lc,
+    _pair_ll,
 )
+
+from cyclechain.lattice import divisor_lattice
 
 from conftest import rand_element
 
@@ -172,6 +179,13 @@ class TestExhaustiveDivide:
                 Element.one(), Element.one(), SearchSpace(k=1, max_level=30)
             )
 
+    def test_window_modulus_bounded_before_factoring(self):
+        # 10^22 + 1 = 89 * 101 * 1052788969 * 1056689261; trial division
+        # would run for minutes
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            SearchSpace(k=10**22 + 1).generator_count()
+        assert SearchSpace(k=MAX_SPACE_K - 1).generator_count() == 256
+
     def test_divisor_outside_window(self):
         space = SearchSpace(k=3, max_level=0)
         with pytest.raises(ValueError):
@@ -185,3 +199,9 @@ class TestExhaustiveDivide:
             Element.from_cycles(C(3)), Element.from_cycles(C(7)), space
         )
         assert got == frozenset()
+
+
+def test_caches_are_bounded():
+    for cached in (_pair_cc, _pair_lc, _pair_ll, divisor_lattice):
+        assert cached.cache_info().maxsize is not None
+    assert PAIR_CACHE_SIZE < 10**5 and divisor_lattice.cache_info().maxsize <= 64

@@ -309,6 +309,22 @@ class TestInputBudgets:
         assert code == 2
         assert "2**21 candidates" in capsys.readouterr().err
 
+    def test_check_divide_huge_k_is_a_usage_error(self):
+        src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "oracle", "check-divide", "C3", "C3",
+             "--k", "10000000000000000000001"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage:") and "argument --k: must be <=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_oracle_product_vertex_budget(self, capsys):
         src = os.path.dirname(os.path.dirname(cyclechain.__file__))
         t0 = time.perf_counter()
