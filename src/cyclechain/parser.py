@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
-from .poly import CubicPoly, reduce_poly
+from .poly import CubicPoly, fold_exponent, reduce_poly
 
 MAX_INT = 10**6
 # Deepest nesting of parentheses and chained powers; the parser and the
@@ -223,7 +223,7 @@ def eval_element(node: Node) -> Element:
             out = out * eval_element(part)
         return out
     if isinstance(node, Pow):
-        return eval_element(node.base) ** node.exponent
+        return eval_element(node.base) ** fold_exponent(node.exponent)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -254,7 +254,7 @@ def _poly_mul(p: list[CycleSum], q: list[CycleSum]) -> list[CycleSum]:
 def _poly_reduce_coeffs(coeffs: list[CycleSum]) -> list[CycleSum]:
     folded = [CycleSum.zero()] * min(len(coeffs), 4)
     for e, c in enumerate(coeffs):
-        slot = e if e < 4 else 2 + (e & 1)
+        slot = fold_exponent(e)
         folded[slot] = folded[slot] + c
     while len(folded) > 1 and not folded[-1]:
         folded.pop()
@@ -282,12 +282,8 @@ def _eval_poly_node(node: Node) -> list[CycleSum]:
         return out
     if isinstance(node, Pow):
         base = _eval_poly_node(node.base)
-        # y**4 = y**2 for every element, so higher powers fold to 2 or 3
-        e = node.exponent
-        if e >= 4:
-            e = 2 + (e & 1)
         out = [CycleSum.one()]
-        for _ in range(e):
+        for _ in range(fold_exponent(node.exponent)):
             out = _poly_mul(out, base)
         return out
     raise TypeError(f"unknown node {node!r}")

@@ -10,11 +10,9 @@ inputs, and an unreachable target, are constructed and verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from .cycles import CycleSum, ODD_ONE, OddSet
-from .lattice import window_bits
 
 
 @dataclass(frozen=True)
@@ -39,15 +37,16 @@ class CubicPoly:
         return " + ".join(parts) if parts else "0"
 
 
-def reduce_poly(coeffs: Sequence[CycleSum]) -> CubicPoly:
-    """Fold a coefficient list (index = exponent) into an equivalent cubic.
+def fold_exponent(e: int) -> int:
+    """The exponent at most 3 whose power equals x**e for every x, as x**4 = x**2."""
+    return e if e < 4 else 2 + (e & 1)
 
-    Exponent e >= 4 contributes at exponent 2 + (e mod 2) because
-    x**4 = x**2 holds for every element.
-    """
+
+def reduce_poly(coeffs: Sequence[CycleSum]) -> CubicPoly:
+    """Fold a coefficient list (index = exponent) into an equivalent cubic."""
     folded = [CycleSum.zero()] * 4
     for e, coeff in enumerate(coeffs):
-        slot = e if e < 4 else 2 + (e & 1)
+        slot = fold_exponent(e)
         folded[slot] = folded[slot] + coeff
     return CubicPoly(a=folded[3], b=folded[2], c=folded[1], d=folded[0])
 
@@ -112,42 +111,43 @@ def _collision_pair(p: CubicPoly) -> tuple[CycleSum, CycleSum]:
     return CycleSum.zero(), y
 
 
-def _restriction_modulus(p: CubicPoly, extra: CycleSum) -> int:
-    k = 1
-    for part in (*p.coefficients(), extra):
-        k = lcm(k, part.stats()[0])
-    return k
-
-
 def is_reachable(p: CubicPoly, s: CycleSum) -> bool:
     """Exact test for the existence of x with p(x) = s.
 
-    Eliminates the even part: writing e for the level-0 sum of the three
-    leading coefficients, a solution needs e*x0 = r0 (r = s + d) and then
-    the even-level system is solvable iff (a0*x0 + c0) fixes the residual
-    drift.  Restriction to odd parts dividing a joint modulus loses no
-    solutions, so scanning that finite interval decides the question.
-    The scan runs in the atom coordinates of that modulus, where the
-    products are ``&``.
+    Write x = u + v with u its odd part (an idempotent) and v its even
+    part, so x**2 = u and x**3 = u + u*v.  With r = s + d, e the odd part
+    and delta the even part of a + b + c, the equation p(x) = s reads
+
+        e*u = r0    and    (a0*u + c0)*v = r+ + delta*u,
+
+    where r0 and r+ are the odd and even parts of r; closure below is
+    ``plus_closure``, the join of all levels.  At one atom of the
+    Boolean algebra of odd parts each level is F2, u is 0 or 1, and the
+    atoms do not interact, so the question splits into one choice per atom.
+    Choosing u = 0 fails at the atoms of
+
+        bad0 = r0 | closure(r+) * (1 + c0),
+
+    because then r0 must vanish and the multiplier c0 must cover every
+    level of r+.  Choosing u = 1 fails at the atoms of
+
+        bad1 = (e + r0) | closure(r+ + delta) * (1 + a0 + c0).
+
+    So a solution exists iff no atom lies in both: bad0 * bad1 = 0.  Then
+    u = bad0 is one solution's odd part.  The first test, r0 <= e, is
+    implied by that product and is only a quick exit.
     """
     r = s + p.d
     r0 = r.odd_part
-    e = (p.a + p.b + p.c).odd_part
+    lead = p.a + p.b + p.c
+    e = lead.odd_part
     if e * r0 != r0:
         return False
     a0 = p.a.odd_part
     c0 = p.c.odd_part
-    drift = (p.a + p.b + p.c).even_part
-    bits = window_bits(_restriction_modulus(p, r))
-    R0, E, A0, C0 = (bits.encode(x.lengths) for x in (r0, e, a0, c0))
-    # level i of tau = r.even_part + drift * x0 is ri ^ (di & x0)
-    levels = {i for i, _ in r.even_part.items()} | {i for i, _ in drift.items()}
-    tau = [(bits.encode(r.level(i).lengths), bits.encode(drift.level(i).lengths)) for i in levels]
-    for x0 in bits.members(R0, E ^ R0 ^ bits.top):
-        mu = (A0 & x0) ^ C0
-        if all(not (ri ^ (di & x0)) & ~mu for ri, di in tau):
-            return True
-    return False
+    bad0 = r0 | (r.even_part.plus_closure * c0.complement())
+    bad1 = (e + r0) | ((r + lead).even_part.plus_closure * (a0 + c0).complement())
+    return not bad0 * bad1
 
 
 def _unreached_target(p: CubicPoly) -> tuple[Optional[CycleSum], str]:

@@ -1,10 +1,17 @@
 """Classification of cycle sums and the structure of their multiplication.
 
-Units are the elements whose odd part is C1; regular elements satisfy
-x**3 = x; co-regular ones have an odd part annihilating every higher
-level.  Each mutual-divisibility class contains exactly one co-regular
-element, x + x**2 + x**3, which gives a second route to the divisibility
-relation used as a cross-check.
+Every cycle sum splits as x = a + m: the odd part a (level 0) is an
+idempotent and the even part m (levels >= 1) squares to zero, so the ring
+is the idealization B ⋉ M of the Boolean ring B of odd parts (Nagata).
+Hence x**2 = a and x**3 = a + a*m, and every structure question reads the
+one product a*m:
+
+- units are the elements with a = C1;
+- x is regular (x**3 = x) iff a*m = m;
+- x is co-regular (a annihilates every higher level) iff a*m = 0;
+- each mutual-divisibility class contains exactly one co-regular element,
+  x + x**2 + x**3 = x + a*m, which gives a second route to the
+  divisibility relation used as a cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from typing import Optional
 
 from . import division
 from .cycles import CycleSum, ODD_ONE, OddSet
-from .lattice import divisors
 
 
 @dataclass(frozen=True)
@@ -27,10 +33,14 @@ class Classification:
     coregular_rep: CycleSum
 
 
+def _odd_times_even(x: CycleSum) -> CycleSum:
+    """a*m for x = a + m split into its odd and even parts: one product per level."""
+    return x.odd_part.as_cycles() * x.even_part
+
+
 def coregular_representative(x: CycleSum) -> CycleSum:
-    """x + x**2 + x**3: the co-regular element sharing x's principal ideal."""
-    x2 = x * x
-    return x + x2 + x2 * x
+    """x + x**2 + x**3 = x + a*m: the co-regular element sharing x's principal ideal."""
+    return x + _odd_times_even(x)
 
 
 def is_unit(x: CycleSum) -> bool:
@@ -38,22 +48,24 @@ def is_unit(x: CycleSum) -> bool:
 
 
 def is_regular(x: CycleSum) -> bool:
-    return x * x * x == x
+    """x**3 = x, which is a*m = m."""
+    return _odd_times_even(x) == x.even_part
 
 
 def is_coregular(x: CycleSum) -> bool:
-    x0 = x.odd_part
-    return all(not (x0 * xi) for i, xi in x.items() if i >= 1)
+    """a*m = 0: the odd part annihilates every higher level."""
+    return not _odd_times_even(x)
 
 
 def classify(x: CycleSum) -> Classification:
+    am = _odd_times_even(x)
     return Classification(
         is_unit=is_unit(x),
         is_idempotent=x.is_idempotent,
-        is_regular=is_regular(x),
-        is_coregular=is_coregular(x),
+        is_regular=am == x.even_part,
+        is_coregular=not am,
         plus_closure=x.plus_closure,
-        coregular_rep=coregular_representative(x),
+        coregular_rep=x + am,
     )
 
 
@@ -83,12 +95,6 @@ def green(x: CycleSum, y: CycleSum, relation: str) -> bool:
             )
         return by_formula
     raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
-
-
-def restriction_identity_check(a: CycleSum, e: OddSet) -> bool:
-    """Whether a*e equals (a*e)+closure times a (it always should)."""
-    ae = a * e.as_cycles()
-    return ae == ae.plus_closure.as_cycles() * a
 
 
 def ideal_reduce(x: CycleSum, y: CycleSum) -> tuple[CycleSum, CycleSum]:
@@ -137,36 +143,3 @@ def _verified(x: CycleSum, y: CycleSum, g: CycleSum) -> IdealMeetResult:
                 f"internal error: claimed generator {g} is not a multiple of {divisor}"
             )
     return IdealMeetResult(kind="principal", generator=g)
-
-
-def probe_ideal_intersection(
-    x: CycleSum, y: CycleSum, k: int, n: int, candidates: int = 1 << 14
-) -> Optional[CycleSum]:
-    """Bounded search for a single generator of the ideal intersection.
-
-    Scans the elements m of the restricted space (odd parts dividing k,
-    levels <= n) that both x and y divide, and returns one that itself
-    divides all of them, or None if no such element exists in the space.
-    Exponential in the space size; a diagnostic tool only.
-    """
-    lat = divisor_lattice_universe(k, n)
-    if len(lat) > 24:
-        raise ValueError("restricted space too large to probe")
-    members = []
-    for bits in range(1 << len(lat)):
-        m = CycleSum.from_lengths(
-            [lat[t] for t in range(len(lat)) if bits >> t & 1]
-        )
-        if division.solve(x, m).solvable and division.solve(y, m).solvable:
-            members.append(m)
-        if len(members) > candidates:
-            raise ValueError("too many common multiples to probe")
-    for g in members:
-        if all(division.solve(g, m).solvable for m in members):
-            return g
-    return None
-
-
-def divisor_lattice_universe(k: int, n: int) -> tuple[int, ...]:
-    """All cycle lengths with odd part dividing k and level at most n."""
-    return tuple(sorted(q << i for q in divisors(k) for i in range(n + 1)))

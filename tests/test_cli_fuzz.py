@@ -2,7 +2,7 @@
 
 ``cli.main`` runs in-process on argument vectors drawn from the commands'
 own vocabulary: well-formed expressions over small cycles and chains,
-strings of random tokens, small numbers, and flags in any order, valid or
+polynomials in x over them, strings of random tokens, small numbers, and flags in any order, valid or
 not.  Whatever the input, the command returns 0, 1 or 2, or argparse exits
 with 0 (``--help``) or 2; no other exception escapes and nothing prints a
 traceback.
@@ -24,6 +24,9 @@ well_formed = st.lists(st.lists(power, min_size=1, max_size=2).map("*".join),
 TOKENS = ["C1", "C3", "C6", "C0", "C", "L2", "L", "0", "1", "x", "+", "*", "^", "^2", "(", ")",
           " ", "-", "C-1", "2**", "C99999999999"]
 noise = st.lists(st.sampled_from(TOKENS), max_size=8).map("".join)
+monomial = st.builds("{}*x{}".format, factor, st.sampled_from(["", "^2", "^3", "^5"]))
+polys = st.one_of(st.lists(st.one_of(monomial, term), min_size=1, max_size=4).map(" + ".join),
+                  noise)
 numbers = st.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "15", "45", "x"])
 # window bounds stay small: an oracle window of 2**15 candidates, all of
 # them solutions of 0 * x = 0, takes seconds to list
@@ -39,7 +42,8 @@ VALUED = {
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["eval", "divide", "atoms", "classify", "check-divide"]))
+    command = draw(st.sampled_from(["eval", "divide", "atoms", "classify", "check-divide",
+                                    "ideal-meet", "poly-solve"]))
 
     def expr():
         return draw(noise if draw(st.integers(0, 4)) == 0 else well_formed)
@@ -48,8 +52,10 @@ def argvs(draw):
         head = ["atoms", draw(st.one_of(numbers, st.sampled_from(["15", "105", "3465"])))]
     elif command == "check-divide":
         head = ["oracle", "check-divide", expr(), expr()]
-    elif command == "divide":
-        head = ["divide", expr(), expr()]
+    elif command in ("divide", "ideal-meet"):
+        head = [command, expr(), expr()]
+    elif command == "poly-solve":
+        head = ["poly-solve", "--poly", draw(polys), "--target", expr()]
     else:
         head = [command, expr()]
     tail = []

@@ -4,11 +4,14 @@ The ``ref_*`` functions are the interval enumerators the lazy ones
 replaced: every member of every level is built as an ``Interval`` of
 ``BoolElem`` values over ``divisor_lattice(k)`` before the first solution
 is emitted, and chain Z-coordinates are sets of indices.  The lazy code
-must yield the same solutions in the same order.
+must yield the same solutions in the same order.  ``scan_is_reachable`` is
+the cubic reachability test that the per-atom closed form replaced: it
+walks every level-0 candidate of the joint modulus in atom coordinates.
 """
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -46,7 +49,7 @@ from cyclechain.lattice import (
     submasks,
     window_bits,
 )
-from cyclechain.poly import CubicPoly, _restriction_modulus, is_reachable
+from cyclechain.poly import CubicPoly, eval_poly, is_reachable
 
 WIDE = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
 # most free atoms a level may have in a differential test: the reference
@@ -202,6 +205,34 @@ def ref_is_reachable(p, s):
         mu = a0 * x0 + c0
         tau = r.even_part + drift * x0.as_cycles()
         if all(mu * ti == ti for _, ti in tau.items()):
+            return True
+    return False
+
+
+def _restriction_modulus(p, extra):
+    k = 1
+    for part in (*p.coefficients(), extra):
+        k = math.lcm(k, part.stats()[0])
+    return k
+
+
+def scan_is_reachable(p, s):
+    r = s + p.d
+    r0 = r.odd_part
+    e = (p.a + p.b + p.c).odd_part
+    if e * r0 != r0:
+        return False
+    a0 = p.a.odd_part
+    c0 = p.c.odd_part
+    drift = (p.a + p.b + p.c).even_part
+    bits = window_bits(_restriction_modulus(p, r))
+    R0, E, A0, C0 = (bits.encode(x.lengths) for x in (r0, e, a0, c0))
+    # level i of tau = r.even_part + drift * x0 is ri ^ (di & x0)
+    levels = {i for i, _ in r.even_part.items()} | {i for i, _ in drift.items()}
+    tau = [(bits.encode(r.level(i).lengths), bits.encode(drift.level(i).lengths)) for i in levels]
+    for x0 in bits.members(R0, E ^ R0 ^ bits.top):
+        mu = (A0 & x0) ^ C0
+        if all(not (ri ^ (di & x0)) & ~mu for ri, di in tau):
             return True
     return False
 
@@ -366,7 +397,39 @@ class TestEnumeratorsDifferential:
         r0, e = (s + p.d).odd_part, (p.a + p.b + p.c).odd_part
         if e * r0 == r0:
             assume(free_atoms(_restriction_modulus(p, s + p.d), r0, e + r0 + ODD_ONE) <= MAX_REF_FREE)
-        assert is_reachable(p, s) == ref_is_reachable(p, s)
+        assert is_reachable(p, s) == ref_is_reachable(p, s) == scan_is_reachable(p, s)
+
+
+class TestReachability:
+    @pytest.mark.parametrize("k", [15, 45, 105, 1155])
+    def test_closed_form_against_the_scan(self, k):
+        rng = random.Random(k)
+        parts = divisors(k)
+
+        def sums(terms):
+            return CycleSum.from_lengths(rng.choice(parts) << rng.randint(0, 2) for _ in range(terms))
+
+        hits = 0
+        for _ in range(200):
+            p = CubicPoly(*(sums(rng.randint(0, 4)) for _ in range(4)))
+            s = sums(rng.randint(0, 4)) if rng.random() < 0.5 else eval_poly(p, sums(4))
+            hits += is_reachable(p, s)
+            assert is_reachable(p, s) == scan_is_reachable(p, s), (p, s)
+        assert 40 < hits < 160
+
+    @pytest.mark.parametrize("k, free", [(1155, 16), (15015, 32)])
+    def test_every_atom_free(self, k, free):
+        # r0 = 0 and e = C1 leave every atom free at level 0, and the
+        # target is unreachable, so a scan would visit all 2**free candidates
+        p = CubicPoly(CycleSum.zero(), CycleSum.one(), CycleSum.zero(), CycleSum.zero())
+        s = CycleSum.from_lengths([2, 2 * k])
+        assert len(divisors(k)) == free
+        t0 = time.perf_counter()
+        assert not is_reachable(p, s)
+        assert time.perf_counter() - t0 < 0.05
+        if free <= 16:
+            assert not scan_is_reachable(p, s)
+        assert is_reachable(p, CycleSum.from_lengths([1, k]))
 
 
 def pure_chain_sums(eps, max_len=40, max_terms=5):

@@ -364,6 +364,29 @@ class TestInputBudgets:
         assert high == low
         assert parse_poly("(x+C3)^200001") == parse_poly("(x+C3)^3")
 
+    def test_eval_power_folds(self, capsys):
+        t0 = time.perf_counter()
+        high = run_cli(capsys, "eval", "C3^1000000")
+        assert time.perf_counter() - t0 < 2
+        assert high == run_cli(capsys, "eval", "C3^2")
+        assert parse_element("(C3 + C2 + L2)^999999") == parse_element("(C3 + C2 + L2)^3")
+
+    def test_poly_solve_beyond_the_divisor_layout(self):
+        # the joint modulus of these coefficients has 2**13 divisors
+        wide = "C3+C5+C7+C11+C13+C17+C19+C23+C29+C31+C37+C41+C43"
+        src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "poly-solve",
+             "--poly", f"({wide})*x^3 + (1+{wide})*x", "--target", "C1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "\nunreached target: " in proc.stdout
+
     @pytest.mark.parametrize("a", ["C3", "C3+L1"])
     def test_deep_level_bound_exits_0_without_traceback(self, a):
         src = os.path.dirname(os.path.dirname(cyclechain.__file__))

@@ -1,9 +1,11 @@
 import random
+from typing import Optional
 
 import pytest
 
 from cyclechain import division
 from cyclechain.cycles import CycleSum, ODD_ONE, OddSet
+from cyclechain.lattice import divisors
 from cyclechain.structure import (
     classify,
     coregular_representative,
@@ -13,8 +15,6 @@ from cyclechain.structure import (
     is_coregular,
     is_regular,
     is_unit,
-    probe_ideal_intersection,
-    restriction_identity_check,
 )
 
 from conftest import rand_cycles, rand_unit
@@ -24,6 +24,107 @@ C = CycleSum.single
 
 def lengths(*qs):
     return CycleSum.from_lengths(qs)
+
+
+# ---------------------------------------------------------------- reference
+# The definitions the closed forms in ``structure`` replaced, and the
+# exponential diagnostics that nothing in the package calls.
+
+
+def ref_is_regular(x: CycleSum) -> bool:
+    return x * x * x == x
+
+
+def ref_is_coregular(x: CycleSum) -> bool:
+    x0 = x.odd_part
+    return all(not (x0 * xi) for i, xi in x.items() if i >= 1)
+
+
+def ref_coregular_representative(x: CycleSum) -> CycleSum:
+    x2 = x * x
+    return x + x2 + x2 * x
+
+
+def restriction_identity_check(a: CycleSum, e: OddSet) -> bool:
+    """Whether a*e equals (a*e)+closure times a (it always should)."""
+    ae = a * e.as_cycles()
+    return ae == ae.plus_closure.as_cycles() * a
+
+
+def divisor_lattice_universe(k: int, n: int) -> tuple[int, ...]:
+    """All cycle lengths with odd part dividing k and level at most n."""
+    return tuple(sorted(q << i for q in divisors(k) for i in range(n + 1)))
+
+
+def probe_ideal_intersection(
+    x: CycleSum, y: CycleSum, k: int, n: int, candidates: int = 1 << 14
+) -> Optional[CycleSum]:
+    """Bounded search for a single generator of the ideal intersection.
+
+    Scans the elements m of the restricted space (odd parts dividing k,
+    levels <= n) that both x and y divide, and returns one that itself
+    divides all of them, or None if no such element exists in the space.
+    Exponential in the space size; a diagnostic tool only.
+    """
+    lat = divisor_lattice_universe(k, n)
+    if len(lat) > 24:
+        raise ValueError("restricted space too large to probe")
+    members = []
+    for bits in range(1 << len(lat)):
+        m = CycleSum.from_lengths(
+            [lat[t] for t in range(len(lat)) if bits >> t & 1]
+        )
+        if division.solve(x, m).solvable and division.solve(y, m).solvable:
+            members.append(m)
+        if len(members) > candidates:
+            raise ValueError("too many common multiples to probe")
+    for g in members:
+        if all(division.solve(g, m).solvable for m in members):
+            return g
+    return None
+
+
+WIDE_PARTS = divisors(765765)  # 3^2 * 5 * 7 * 11 * 13 * 17: 96 divisors
+
+
+def wide_sum(rng, terms):
+    return CycleSum.from_lengths(rng.choice(WIDE_PARTS) << rng.randint(0, 4) for _ in range(terms))
+
+
+class TestClosedFormsAgainstDefinitions:
+    """x = a + m with a*a = a and m*m = 0, so the answers read a*m only."""
+
+    def test_wide_random_sums(self):
+        rng = random.Random(765765)
+        assert len(WIDE_PARTS) == 96
+        for _ in range(300):
+            x = wide_sum(rng, rng.randint(0, 96))
+            if rng.random() < 0.25:
+                # a regular or co-regular input, which random sums rarely are
+                a = x.odd_part.as_cycles()
+                x = a + a * x.even_part if rng.random() < 0.5 else x + a * x.even_part
+            c = classify(x)
+            assert c.is_regular == is_regular(x) == ref_is_regular(x)
+            assert c.is_coregular == is_coregular(x) == ref_is_coregular(x)
+            assert c.coregular_rep == coregular_representative(x) == ref_coregular_representative(x)
+            assert c.is_unit == is_unit(x) == (x.odd_part == ODD_ONE)
+
+    def test_small_exhaustive(self):
+        # every sum of lengths among 1, 3, 2, 6, 4, 12
+        parts = [1, 3, 2, 6, 4, 12]
+        for bits in range(1 << len(parts)):
+            x = CycleSum.from_lengths(q for t, q in enumerate(parts) if bits >> t & 1)
+            assert is_regular(x) == ref_is_regular(x)
+            assert is_coregular(x) == ref_is_coregular(x)
+            assert coregular_representative(x) == ref_coregular_representative(x)
+
+    def test_green_r_agrees_with_definition(self):
+        rng = random.Random(96)
+        for _ in range(150):
+            x = wide_sum(rng, rng.randint(0, 30))
+            y = x * rand_unit(rng, parts=WIDE_PARTS[:8], levels=4) if rng.random() < 0.5 else wide_sum(rng, 8)
+            by_rep = ref_coregular_representative(x) == ref_coregular_representative(y)
+            assert green(x, y, "R") == by_rep
 
 
 class TestClassify:
