@@ -21,8 +21,8 @@ from .division import (
     IntervalSolutionSet,
     interval_has_parity,
     lazy_product,
+    level_factors,
     membership,
-    odd_members,
     solve,
 )
 from .formal import FormalSum, ProductRule
@@ -382,9 +382,7 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
             free = not bc
             cycle = CycleBranch(t=t, free=free, sol=None, nonempty=free)
         else:
-            nonempty = sol.solvable and interval_has_parity(
-                sol.lambda0, sol.upsilon0, t
-            )
+            nonempty = sol.solvable and interval_has_parity(*sol.level_coords(0), t, sol.bits)
             cycle = CycleBranch(t=t, free=False, sol=sol, nonempty=nonempty)
         chains = tuple(
             _chain_branch(
@@ -401,7 +399,7 @@ def _subsets(divs: list[int], t: Optional[int]) -> Iterator[OddSet]:
     divs[i]; only those of support parity t unless t is None."""
     for c in submasks(0, range(len(divs))):
         if t is None or c.bit_count() & 1 == t:
-            yield OddSet(divs[i] for i in ones(c))
+            yield OddSet._make(frozenset(divs[i] for i in ones(c)))
 
 
 def _cycle_factors(
@@ -415,15 +413,7 @@ def _cycle_factors(
     sol = branch.sol
     if sol is None or not sol.solvable:
         return []
-    # levels above the window are forced to zero; possible only when their
-    # lower endpoints vanish
-    for i in range(max_level + 1, sol.n + 1):
-        lo, _ = sol.level_interval(i)
-        if lo:
-            return []
-    return [odd_members(bits, sol.lambda0, sol.upsilon0, branch.t)] + [
-        odd_members(bits, *sol.level_interval(i)) for i in range(1, max_level + 1)
-    ]
+    return level_factors(sol, bits, max_level, branch.t)
 
 
 def divide_full_restricted(
@@ -493,24 +483,3 @@ def element_product_rule() -> ProductRule:
         return FormalSum(("L", d) for d in mul_chain_cycle(hn, gn).lengths)
 
     return ProductRule(pair_product=pair, identity=("C", 1))
-
-
-def element_to_formal(x: Element) -> FormalSum:
-    gens = [("C", q) for q in x.cycles.lengths()]
-    gens.extend(("L", d) for d in x.chains.lengths)
-    return FormalSum(gens)
-
-
-def formal_to_element(s: FormalSum) -> Element:
-    cycles = []
-    chains = []
-    for kind, n in s.support:
-        if kind == "C":
-            cycles.append(n)
-        elif kind == "L":
-            chains.append(n)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-    return Element(
-        chains=ChainSum(chains), cycles=CycleSum.from_lengths(cycles)
-    )

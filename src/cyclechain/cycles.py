@@ -332,16 +332,3 @@ def cycle_product_rule() -> ProductRule:
         return FormalSum(("C", q) for q in p.lengths())
 
     return ProductRule(pair_product=pair, identity=("C", 1))
-
-
-def cycle_sum_to_formal(x: CycleSum) -> FormalSum:
-    return FormalSum(("C", q) for q in x.lengths())
-
-
-def formal_to_cycle_sum(s: FormalSum) -> CycleSum:
-    lengths = []
-    for kind, q in s.support:
-        if kind != "C":
-            raise ValueError(f"not a cycle generator: {(kind, q)}")
-        lengths.append(q)
-    return CycleSum.from_lengths(lengths)

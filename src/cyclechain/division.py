@@ -20,39 +20,85 @@ T = TypeVar("T")
 _END = object()
 
 
-@dataclass(frozen=True)
 class IntervalSolutionSet:
     """All solutions of a*x = b, as per-level intervals.
 
     Level 0 of any solution lies in [lambda0, upsilon0]; level i with
     1 <= i <= n lies in head[i-1]; every level above n is bounded above by
     tail_hi (and below by 0).  The set is nonempty iff ``solvable``.
+
+    The endpoints are held in the coordinates of ``bits``: as masks of
+    that ``DivisorBits`` layout, or as ``OddSet`` values when it is None.
+    A mask is decoded the first time its endpoint is read, and the
+    ``OddSet`` kept.  Equality, hash and repr go by the decoded values, so
+    a set from either path equals the other and prints the same.
     """
 
-    a: CycleSum
-    b: CycleSum
-    solvable: bool
-    lambda0: OddSet
-    upsilon0: OddSet
-    head: tuple[tuple[OddSet, OddSet], ...]
-    tail_hi: OddSet
-    n: int
+    __slots__ = ("a", "b", "solvable", "n", "bits", "_lam0", "_ups0", "_head", "_free", "_decoded")
+
+    def __init__(self, a: CycleSum, b: CycleSum, solvable: bool, lambda0, upsilon0,
+                 head: tuple, tail_hi, n: int, bits: Optional[DivisorBits] = None):
+        self.a = a
+        self.b = b
+        self.solvable = solvable
+        self.n = n
+        self.bits = bits
+        self._lam0 = lambda0
+        self._ups0 = upsilon0
+        self._head = head
+        self._free = tail_hi
+        self._decoded: dict[int, OddSet] = {}
+
+    def _odd(self, x) -> OddSet:
+        if self.bits is None:
+            return x
+        odd = self._decoded.get(x)
+        if odd is None:
+            odd = self._decoded[x] = OddSet._make(frozenset(self.bits.decode(x)))
+        return odd
+
+    lambda0 = property(lambda self: self._odd(self._lam0))
+    upsilon0 = property(lambda self: self._odd(self._ups0))
+    head = property(lambda self: tuple((self._odd(lo), self._odd(hi)) for lo, hi in self._head))
+    tail_hi = property(lambda self: self._odd(self._free))
+
+    def level_coords(self, i: int) -> tuple:
+        """The (lo, hi) pair constraining level i, in the coordinates of ``bits``."""
+        if i == 0:
+            return (self._lam0, self._ups0)
+        if i <= self.n:
+            return self._head[i - 1]
+        return (ODD_ZERO if self.bits is None else 0, self._free)
 
     def level_interval(self, i: int) -> tuple[OddSet, OddSet]:
         """The (lo, hi) pair constraining level i of a solution."""
-        if i == 0:
-            return (self.lambda0, self.upsilon0)
-        if i <= self.n:
-            return self.head[i - 1]
-        return (ODD_ZERO, self.tail_hi)
+        lo, hi = self.level_coords(i)
+        return (self._odd(lo), self._odd(hi))
+
+    _FIELDS = ("a", "b", "solvable", "lambda0", "upsilon0", "head", "tail_hi", "n")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalSolutionSet):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({body})"
 
 
 def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
     """Characterise the solutions of a*x = b.
 
     Runs the per-level formulas in the atom coordinates of k = lcm of the
-    odd parts of a and b, falling back to the set formulas when that
-    layout is not worth building.
+    odd parts of a and b, and keeps the endpoints as masks of that layout;
+    falls back to the set formulas when the layout is not worth building.
     """
     ka, na = a.stats()
     kb, nb = b.stats()
@@ -75,25 +121,12 @@ def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
         lam0 |= li
         ups0 &= li ^ ai ^ top
 
-    def odd(x: int) -> OddSet:
-        return OddSet(bits.decode(x))
-
     free = a0 ^ top
     head = []
     for i in range(1, n + 1):
         lo = (a0 & B.get(i, 0)) ^ (A.get(i, 0) & b0)
-        head.append((odd(lo), odd(lo ^ free)))
-
-    return IntervalSolutionSet(
-        a=a,
-        b=b,
-        solvable=lam0 & ups0 == lam0,
-        lambda0=odd(lam0),
-        upsilon0=odd(ups0),
-        head=tuple(head),
-        tail_hi=odd(free),
-        n=n,
-    )
+        head.append((lo, lo ^ free))
+    return IntervalSolutionSet(a, b, lam0 & ups0 == lam0, lam0, ups0, tuple(head), free, n, bits)
 
 
 def _terms(x: CycleSum) -> int:
@@ -121,50 +154,44 @@ def _solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:
         lo = a0 * b.level(i) + a.level(i) * b0
         head.append((lo, lo + a0 + ODD_ONE))
 
-    return IntervalSolutionSet(
-        a=a,
-        b=b,
-        solvable=lam0 * ups0 == lam0,
-        lambda0=lam0,
-        upsilon0=ups0,
-        head=tuple(head),
-        tail_hi=a0 + ODD_ONE,
-        n=n,
-    )
+    return IntervalSolutionSet(a, b, lam0 * ups0 == lam0, lam0, ups0, tuple(head), a0 + ODD_ONE, n)
 
 
 def min_solution(sol: IntervalSolutionSet) -> CycleSum:
     """The solution made of lower endpoints: the canonical finite one."""
     if not sol.solvable:
         raise ValueError("equation has no solution")
-    levels = {0: sol.lambda0}
-    for i, (lo, _) in enumerate(sol.head, start=1):
-        levels[i] = lo
-    return CycleSum(levels)
+    lows = (sol.level_coords(i)[0] for i in range(sol.n + 1))
+    return CycleSum._make({i: sol._odd(lo) for i, lo in enumerate(lows) if lo})
 
 
 def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
     """Whether x solves the equation, checked level by level.
 
-    Works in the atom coordinates of the lcm of the equation's modulus and
-    x's odd parts, since a solution may carry odd parts outside the former
+    When x's odd parts divide the modulus of the solution's layout, x is
+    encoded in it and compared with the stored masks.  Otherwise this works
+    in the atom coordinates of the lcm of the equation's modulus and x's
+    odd parts, since a solution may carry odd parts outside the former
     (C5 + C15 solves C3*x = 0).
     """
     if not sol.solvable:
         return False
+    bits = sol.bits
     levels = set(range(sol.n + 1)).union(i for i, _ in x.items())
-    bounds = {i: sol.level_interval(i) for i in levels}
-    pairs = (_terms(x) + 1) * (1 + sum(len(lo) + len(hi) for lo, hi in bounds.values()))
-    k = lcm(sol.a.stats()[0], sol.b.stats()[0], x.stats()[0])
-    bits = divisor_bits(k, pairs)
-    if bits is None:
-        return _membership_sets(sol, x)
+    if bits is not None and all(bits.index.keys() >= odd.lengths for _, odd in x.items()):
+        bounds = {i: sol.level_coords(i) for i in levels}
+    else:
+        bounds = {i: sol.level_interval(i) for i in levels}
+        pairs = (_terms(x) + 1) * (1 + sum(len(lo) + len(hi) for lo, hi in bounds.values()))
+        k = lcm(sol.a.stats()[0], sol.b.stats()[0], x.stats()[0])
+        bits = divisor_bits(k, pairs)
+        if bits is None:
+            return _membership_sets(sol, x)
+        bounds = {i: [bits.encode(e.lengths) for e in pair] for i, pair in bounds.items()}
     X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
     for i, (lo, hi) in bounds.items():
         xi = X.get(i, 0)
-        if bits.encode(lo.lengths) & ~xi:
-            return False
-        if xi and xi & ~bits.encode(hi.lengths):
+        if lo & ~xi or xi & ~hi:
             return False
     return True
 
@@ -202,9 +229,7 @@ class Annihilators:
     closure_bound: OddSet
 
     def test(self, z: CycleSum) -> bool:
-        a_plus = self.a.plus_closure
-        a0 = self.a.odd_part
-        return not (z.odd_part * a_plus) and not (a0 * z.plus_closure)
+        return z.odd_part <= self.odd_bound and z.plus_closure <= self.closure_bound
 
 
 def annihilators(a: CycleSum) -> Annihilators:
@@ -246,20 +271,42 @@ def lazy_product(factors: Sequence[Callable[[], Iterator[T]]]) -> Iterator[tuple
 
 
 def odd_members(
-    bits: DivisorBits, lo: OddSet, hi: OddSet, t: Optional[int] = None
+    bits: DivisorBits, x: int, y: int, t: Optional[int] = None
 ) -> Callable[[], Iterator[OddSet]]:
-    """A factor for ``lazy_product``: the members of [lo, hi], listed in
-    the atom coordinates ``bits``; with t, only those of support-size
-    parity t.
+    """A factor for ``lazy_product``: the members of the interval between
+    the masks x and y of the atom coordinates ``bits``, as OddSets; with t,
+    only those of support-size parity t.
 
     The parity is the bit at j = k.  It is the largest divisor, so the
     last free atom, and fixing it keeps the order of the other members.
     """
-    x, y = bits.encode(lo.lengths), bits.encode(hi.lengths)
     if t is not None:
         parity = 1 << bits.index[bits.k]
         x, y = (x | parity, y) if t else (x, y & ~parity)
-    return lambda: (OddSet(bits.decode(m)) for m in bits.members(x, y))
+    return lambda: (OddSet._make(frozenset(bits.decode(m))) for m in bits.members(x, y))
+
+
+def level_factors(
+    sol: IntervalSolutionSet, bits: DivisorBits, n: int, t: Optional[int] = None
+) -> list[Callable[[], Iterator[OddSet]]]:
+    """One ``odd_members`` factor per level 0..n of a solvable ``sol``,
+    listed in the window layout ``bits``; at level 0, with t, only the
+    members of support-size parity t.
+
+    The stored masks serve as they are when ``bits`` is the solution's own
+    layout; otherwise each endpoint is mapped into ``bits`` once.  Empty
+    when a level above n has a nonzero lower endpoint, since no solution
+    then stays at or below level n.
+    """
+    if any(sol.level_coords(i)[0] for i in range(n + 1, sol.n + 1)):
+        return []
+    ends = [sol.level_coords(i) for i in range(n + 1)]
+    if sol.bits is None or sol.bits.k != bits.k:
+        def move(e) -> int:
+            return bits.encode(sol._odd(e).lengths)
+
+        ends = [(move(lo), move(hi)) for lo, hi in ends]
+    return [odd_members(bits, *ends[0], t)] + [odd_members(bits, *pair) for pair in ends[1:]]
 
 
 def enumerate_restricted(
@@ -286,9 +333,7 @@ def enumerate_restricted(
     if n < max(sol.a.max_level, sol.b.max_level):
         raise ValueError("level bound below the inputs' own levels")
 
-    bits = window_bits(k)
-    factors = [odd_members(bits, *sol.level_interval(i)) for i in range(n + 1)]
-    for levels in lazy_product(factors):
+    for levels in lazy_product(level_factors(sol, window_bits(k), n)):
         x = CycleSum._make({i: odd for i, odd in enumerate(levels) if odd})
         if sol.a * x != sol.b:
             raise RuntimeError(
@@ -297,8 +342,9 @@ def enumerate_restricted(
         yield x
 
 
-def interval_has_parity(lo: OddSet, hi: OddSet, t: int) -> bool:
-    """Whether [lo, hi] contains an element of support-size parity t.
+def interval_has_parity(lo, hi, t: int, bits: Optional[DivisorBits] = None) -> bool:
+    """Whether [lo, hi] contains an element of support-size parity t; lo
+    and hi are OddSets, or masks of the atom coordinates ``bits``.
 
     The interval is lo + w over w below hi*not(lo); a strict-parity
     element exists among the w's iff that bound has odd support size,
@@ -307,6 +353,9 @@ def interval_has_parity(lo: OddSet, hi: OddSet, t: int) -> bool:
     the product is ``&``, so the bound's parity is hi's and not lo's.
     Assumes the interval is nonempty.
     """
-    if lo.parity == t:
-        return True
-    return hi.parity == 1 and lo.parity == 0
+    if bits is None:
+        p, q = lo.parity, hi.parity
+    else:
+        j = bits.index[bits.k]
+        p, q = lo >> j & 1, hi >> j & 1
+    return p == t or (q == 1 and p == 0)

@@ -9,7 +9,7 @@ rule for the laws that make the whole construction a commutative semiring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 GeneratorId = Hashable
 
@@ -72,24 +72,6 @@ class ProductRule:
         if out is None:
             raise UndefinedProductError((g, h))
         return out
-
-
-def rule_from_table(
-    table: Mapping[tuple[GeneratorId, GeneratorId], Any],
-    identity: Optional[GeneratorId] = None,
-) -> ProductRule:
-    """Build a rule from an explicit table, symmetrised over pair order."""
-
-    def pair(g: GeneratorId, h: GeneratorId) -> FormalSum:
-        if (g, h) in table:
-            out = table[(g, h)]
-        elif (h, g) in table:
-            out = table[(h, g)]
-        else:
-            raise UndefinedProductError((g, h))
-        return out if isinstance(out, FormalSum) else FormalSum(out)
-
-    return ProductRule(pair_product=pair, identity=identity)
 
 
 def add(s: FormalSum, t: FormalSum) -> FormalSum:

@@ -2,16 +2,18 @@
 
 The OddSet formulas (``_solve_sets``, ``_membership_sets``, the set order
 and products) are the reference every bit-path result is compared with.
+A bit-path solution set keeps its endpoints as masks and decodes each one
+when it is first read; it must be indistinguishable from the set path's.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclechain import division, oracle
-from cyclechain.chains import Element
+from cyclechain.chains import ChainSum, Element, divide_full
 from cyclechain.cycles import CycleSum, OddSet
 from cyclechain.lattice import (
     MAX_BIT_DIVISORS,
@@ -167,3 +169,99 @@ class TestEnumerationAgainstOracle:
         mine = set(division.enumerate_restricted(division.solve(a, b), k, n))
         want = oracle.exhaustive_divide(Element.from_cycles(a), Element.from_cycles(b), space)
         assert mine == {x.cycles for x in want}
+
+
+ENDPOINTS = ("lambda0", "upsilon0", "head", "tail_hi")
+
+
+class TestMaskEndpoints:
+    def test_dataclass_repr_text(self):
+        sol = division.solve(CycleSum.from_lengths([3, 10]), CycleSum.from_lengths([15, 30]))
+        assert sol.bits is not None
+        assert repr(sol) == (
+            "IntervalSolutionSet(a=CycleSum('C3 + C10'), b=CycleSum('C15 + C30'), "
+            "solvable=True, lambda0=OddSet('C15'), upsilon0=OddSet('C1 + C3 + C5'), "
+            "head=((OddSet('0'), OddSet('C1 + C3')),), tail_hi=OddSet('C1 + C3'), n=1)"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycle_sums(D765765), cycle_sums(D765765), st.booleans())
+    def test_same_value_hash_and_repr_as_the_set_path(self, a, y, planted):
+        b = a * y if planted else y
+        sol = division.solve(a, b)
+        ref = division._solve_sets(a, b, sol.n)
+        assert sol == ref and ref == sol
+        assert hash(sol) == hash(ref)
+        assert repr(sol) == repr(ref)
+        assert {sol, ref} == {ref}
+
+    @settings(max_examples=100, deadline=None)
+    @given(cycle_sums(D765765), cycle_sums(D765765), st.permutations(ENDPOINTS), st.booleans())
+    def test_endpoints_do_not_depend_on_read_order(self, a, y, order, min_first):
+        b = a * y
+        sol = division.solve(a, b)
+        ref = division._solve_sets(a, b, sol.n)
+        if min_first:
+            assert division.min_solution(sol) == division.min_solution(ref)
+        got = {name: getattr(sol, name) for name in order}
+        assert got == {name: getattr(ref, name) for name in ENDPOINTS}
+        assert {name: getattr(sol, name) for name in ENDPOINTS} == got
+        levels = range(sol.n + 3)
+        assert [sol.level_interval(i) for i in levels] == [ref.level_interval(i) for i in levels]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cycle_sums(D765765, levels=3), cycle_sums(D765765, levels=3),
+           st.lists(st.integers(1, 8), max_size=3), st.booleans())
+    def test_divide_full_repr_is_stable(self, ac, bc, chains, odd_unit):
+        a = Element(chains=ChainSum(chains), cycles=ac + (CycleSum.one() if odd_unit else CycleSum.zero()))
+        b = Element(chains=ChainSum(chains), cycles=bc)
+        first = repr(divide_full(a, b))
+        assert first == repr(divide_full(a, b))
+        assert "0x" not in first
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycle_sums(D765765, levels=3), cycle_sums(D765765, levels=3), st.data())
+    def test_membership_on_masks_matches_set_order(self, a, y, data):
+        # x's odd parts divide the layout's modulus; its levels reach above n
+        b = a * y
+        sol = division.solve(a, b)
+        assume(sol.bits is not None)
+        parts = [d for d in D765765 if sol.bits.k % d == 0]
+        x = data.draw(cycle_sums(parts, levels=6))
+        for z in (x, x + y, y):
+            assert division.membership(sol, z) == division._membership_sets(sol, z) == (a * z == b)
+
+    def test_membership_on_masks_builds_no_layout(self, monkeypatch):
+        a = CycleSum.from_lengths([3, 10, 45])
+        y = CycleSum.from_lengths([5, 9, 6])
+        # C3 + C45 annihilates C5 + C15, here at level 6
+        x = y + CycleSum.from_lengths([5 << 6, 15 << 6])
+        sol = division.solve(a, a * y)
+        assert sol.bits is not None and x.max_level > sol.n
+
+        def refuse(*args):
+            raise AssertionError("membership built a layout")
+
+        monkeypatch.setattr(division, "divisor_bits", refuse)
+        assert division.membership(sol, x)
+        assert not division.membership(sol, x + CycleSum.single(2 * 15))
+        with pytest.raises(AssertionError):
+            # an odd part outside the modulus (7) needs the widened layout
+            division.membership(sol, x + CycleSum.single(7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cycle_sums(D765765, levels=3), cycle_sums(D765765, levels=3),
+           cycle_sums(OUTSIDE, levels=5), st.booleans())
+    def test_membership_outside_the_modulus(self, a, y, x, planted):
+        b = a * (x if planted else y)
+        sol = division.solve(a, b)
+        z = x + CycleSum.single(19 << 4)
+        assert division.membership(sol, z) == division._membership_sets(sol, z) == (a * z == b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cycle_sums(D765765), cycle_sums(D765765), st.integers(0, 1))
+    def test_interval_parity_on_masks(self, a, y, t):
+        sol = division.solve(a, a * y)
+        assume(sol.bits is not None)
+        want = division.interval_has_parity(sol.lambda0, sol.upsilon0, t)
+        assert division.interval_has_parity(*sol.level_coords(0), t, sol.bits) == want

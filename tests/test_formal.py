@@ -1,12 +1,8 @@
 import pytest
 
 from cyclechain import oracle
-from cyclechain.chains import element_product_rule, element_to_formal, formal_to_element
-from cyclechain.cycles import (
-    cycle_product_rule,
-    cycle_sum_to_formal,
-    formal_to_cycle_sum,
-)
+from cyclechain.chains import ChainSum, Element, element_product_rule
+from cyclechain.cycles import CycleSum, cycle_product_rule
 from cyclechain.formal import (
     FormalSum,
     ProductRule,
@@ -14,8 +10,57 @@ from cyclechain.formal import (
     add,
     check_axioms,
     mul,
-    rule_from_table,
 )
+
+
+# ------------------------------------------- formal sums of the package's types
+
+
+def rule_from_table(table, identity=None) -> ProductRule:
+    """Build a rule from an explicit table, symmetrised over pair order."""
+
+    def pair(g, h) -> FormalSum:
+        if (g, h) in table:
+            out = table[(g, h)]
+        elif (h, g) in table:
+            out = table[(h, g)]
+        else:
+            raise UndefinedProductError((g, h))
+        return out if isinstance(out, FormalSum) else FormalSum(out)
+
+    return ProductRule(pair_product=pair, identity=identity)
+
+
+def cycle_sum_to_formal(x: CycleSum) -> FormalSum:
+    return FormalSum(("C", q) for q in x.lengths())
+
+
+def formal_to_cycle_sum(s: FormalSum) -> CycleSum:
+    lengths = []
+    for kind, q in s.support:
+        if kind != "C":
+            raise ValueError(f"not a cycle generator: {(kind, q)}")
+        lengths.append(q)
+    return CycleSum.from_lengths(lengths)
+
+
+def element_to_formal(x: Element) -> FormalSum:
+    gens = [("C", q) for q in x.cycles.lengths()]
+    gens.extend(("L", d) for d in x.chains.lengths)
+    return FormalSum(gens)
+
+
+def formal_to_element(s: FormalSum) -> Element:
+    cycles = []
+    chains = []
+    for kind, n in s.support:
+        if kind == "C":
+            cycles.append(n)
+        elif kind == "L":
+            chains.append(n)
+        else:
+            raise ValueError(f"unknown generator kind {kind!r}")
+    return Element(chains=ChainSum(chains), cycles=CycleSum.from_lengths(cycles))
 
 
 def fs(*gens):
@@ -143,8 +188,6 @@ class TestGroupAndBilinearity:
 
     def test_cycle_rule_matches_oracle_exhaustively(self):
         import itertools
-
-        from cyclechain.chains import Element
 
         rule = cycle_product_rule()
         supports = [

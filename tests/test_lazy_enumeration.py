@@ -33,6 +33,7 @@ from cyclechain.chains import (
 )
 from cyclechain.cycles import ODD_ONE, CycleSum, OddSet
 from cyclechain.division import (
+    _solve_sets,
     enumerate_restricted,
     lazy_product,
     odd_members,
@@ -321,7 +322,9 @@ class TestMembersDifferential:
         b = a * data.draw(cycle_sums(divisors(k), n))
         sol = solve(a, b)
         assume(small_window(sol, k, 0))
-        mine = list(odd_members(window_bits(k), sol.lambda0, sol.upsilon0, t)())
+        bits = window_bits(k)
+        lo, hi = (bits.encode(e.lengths) for e in (sol.lambda0, sol.upsilon0))
+        mine = list(odd_members(bits, lo, hi, t)())
         assert mine == ref_level0_parity_members(sol, k, t)
         assert all(m.parity == t for m in mine)
 
@@ -398,6 +401,47 @@ class TestEnumeratorsDifferential:
         if e * r0 == r0:
             assume(free_atoms(_restriction_modulus(p, s + p.d), r0, e + r0 + ODD_ONE) <= MAX_REF_FREE)
         assert is_reachable(p, s) == ref_is_reachable(p, s) == scan_is_reachable(p, s)
+
+
+class TestWindowOnTheSolutionLayout:
+    """A window on the modulus of the solution's layout lists the stored
+    masks as they are; a window on a proper multiple maps every endpoint
+    into its own layout.  Both list the eager reference's sequence, and
+    the set-path solution (held as OddSets) lists the same."""
+
+    # (modulus, levels, prime that makes a proper multiple)
+    WINDOWS = [(1, 2, 3), (3, 1, 5), (15, 1, 7), (45, 1, 7), (105, 0, 11), (315, 0, 3)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(WINDOWS), st.booleans(), st.data())
+    def test_enumerate_restricted(self, window, multiple, data):
+        m, n, p = window
+        a = data.draw(cycle_sums(divisors(m), n))
+        y = data.draw(cycle_sums(divisors(m), n))
+        b = a * y if data.draw(st.booleans()) else y
+        sol = solve(a, b)
+        assume(sol.bits is not None)
+        k = sol.bits.k * p if multiple else sol.bits.k
+        assume(small_window(sol, k, n))
+        mine = take(enumerate_restricted(sol, k, n))
+        assert mine == take(ref_enumerate_restricted(sol, k, n))
+        assert mine == take(enumerate_restricted(_solve_sets(a, b, sol.n), k, n))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(WINDOWS), st.booleans(), st.integers(0, 6), st.data())
+    def test_divide_full_restricted(self, window, multiple, max_height, data):
+        m, max_level, p = window
+        divs = divisors(m)
+        a = Element(chains=data.draw(chain_sums()), cycles=data.draw(cycle_sums(divs, max_level, 3)))
+        x = Element(chains=data.draw(chain_sums()), cycles=data.draw(cycle_sums(divs, max_level, 3)))
+        b = a * x if data.draw(st.booleans()) else x
+        k = math.lcm(a.cycles.stats()[0], b.cycles.stats()[0])
+        if multiple:
+            k *= p
+        sol = solve(a.cycles, b.cycles) if a.cycles else None
+        assume(sol is None or small_window(sol, k, max_level))
+        mine = take(divide_full_restricted(a, b, k, max_level=max_level, max_height=max_height))
+        assert mine == take(ref_divide_full_restricted(a, b, k, max_level, max_height))
 
 
 class TestReachability:
