@@ -12,6 +12,7 @@ the cycle part of the divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
@@ -409,7 +410,7 @@ def _cycle_factors(
     empty list when no cycle part of the branch fits the window."""
     if branch.free:
         divs = sorted(bits.divisors)
-        return [lambda: _subsets(divs, branch.t)] + [lambda: _subsets(divs, None)] * max_level
+        return [partial(_subsets, divs, branch.t)] + [partial(_subsets, divs, None)] * max_level
     sol = branch.sol
     if sol is None or not sol.solvable:
         return []

@@ -207,7 +207,9 @@ def cmd_atoms(args) -> int:
         print(
             json.dumps(
                 {
-                    "atoms": {str(j): [int(l) for l in atom] for j, atom in atoms.items()},
+                    "atoms": {
+                        str(j): [int(l) for l in atom] for j, atom in atoms.items()
+                    },
                     "expansions": {
                         str(i): [int(j) for j in expansion] for i, expansion in expansions.items()
                     },
@@ -215,7 +217,10 @@ def cmd_atoms(args) -> int:
             )
         )
     else:
-        lines = [f"T{j} = " + " + ".join(f"C{l}" for l in atom) for j, atom in atoms.items()]
+        lines = [
+            f"T{j} = " + " + ".join(f"C{l}" for l in atom)
+            for j, atom in atoms.items()
+        ]
         lines += [
             f"C{i} = " + " + ".join(f"T{j}" for j in expansion)
             for i, expansion in expansions.items()

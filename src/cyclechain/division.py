@@ -54,7 +54,7 @@ class IntervalSolutionSet:
             return x
         odd = self._decoded.get(x)
         if odd is None:
-            odd = self._decoded[x] = OddSet._make(frozenset(self.bits.decode(x)))
+            odd = self._decoded[x] = decoded(self.bits, x)
         return odd
 
     lambda0 = property(lambda self: self._odd(self._lam0))
@@ -96,19 +96,15 @@ class IntervalSolutionSet:
 def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
     """Characterise the solutions of a*x = b.
 
-    Runs the per-level formulas in the atom coordinates of k = lcm of the
-    odd parts of a and b, and keeps the endpoints as masks of that layout;
-    falls back to the set formulas when the layout is not worth building.
+    Runs the per-level formulas in the atom coordinates of ``layout(a, b)``,
+    and keeps the endpoints as masks of that layout; falls back to the set
+    formulas when the layout is not worth building.
     """
-    ka, na = a.stats()
-    kb, nb = b.stats()
-    n = max(na, nb)
-    bits = divisor_bits(lcm(ka, kb), (_terms(a) + 1) * (_terms(b) + 1) * (n + 1))
-    if bits is None:
-        return _solve_sets(a, b, n)
+    coords = layout(a, b)
+    if coords is None:
+        return _solve_sets(a, b, max(a.max_level, b.max_level))
+    bits, (A, B), n = coords
     top = bits.top
-    A = {i: bits.encode(odd.lengths) for i, odd in a.items()}
-    B = {i: bits.encode(odd.lengths) for i, odd in b.items()}
     a0 = A.get(0, 0)
     b0 = B.get(0, 0)
 
@@ -127,6 +123,40 @@ def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
         lo = (a0 & B.get(i, 0)) ^ (A.get(i, 0) & b0)
         head.append((lo, lo ^ free))
     return IntervalSolutionSet(a, b, lam0 & ups0 == lam0, lam0, ups0, tuple(head), free, n, bits)
+
+
+def layout(*xs: CycleSum) -> Optional[tuple[DivisorBits, list[dict[int, int]], int]]:
+    """The atom coordinates of k = lcm of the odd parts of xs, with each
+    x's levels encoded as masks there (one dict from level to mask per x),
+    and the highest level n of the xs.
+
+    None when the layout is not worth building: factoring k would take
+    more trial divisions than the set formulas multiply pairs of terms
+    over all levels, (terms + 1) * ... * (levels + 1), or k has more than
+    ``MAX_BIT_DIVISORS`` divisors.
+    """
+    k, n, pairs = 1, 0, 1
+    for x in xs:
+        levels = x.items()
+        terms = 1
+        for _, odd in levels:
+            k = lcm(k, *odd.lengths)
+            terms += len(odd)
+        if levels:  # sorted by level
+            n = max(n, levels[-1][0])
+        pairs *= terms
+    bits = divisor_bits(k, pairs * (n + 1))
+    if bits is None:
+        return None
+    masks = []
+    for x in xs:
+        masks.append({i: bits.encode(odd.lengths) for i, odd in x.items()})
+    return bits, masks, n
+
+
+def decoded(bits: DivisorBits, x: int) -> OddSet:
+    """The idempotent with mask x in the atom coordinates ``bits``."""
+    return OddSet._make(frozenset(bits.decode(x)))
 
 
 def _terms(x: CycleSum) -> int:
@@ -187,7 +217,8 @@ def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
         bits = divisor_bits(k, pairs)
         if bits is None:
             return _membership_sets(sol, x)
-        bounds = {i: [bits.encode(e.lengths) for e in pair] for i, pair in bounds.items()}
+        bounds = {i: (bits.encode(lo.lengths), bits.encode(hi.lengths))
+                  for i, (lo, hi) in bounds.items()}
     X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
     for i, (lo, hi) in bounds.items():
         xi = X.get(i, 0)

@@ -202,7 +202,9 @@ class FiniteLattice:
         elems = tuple(elements)
         idx = {e: i for i, e in enumerate(elems)}
         n = len(elems)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        leq = [
+            [i == j for j in range(n)] for i in range(n)
+        ]
         for a, b in leq_pairs:
             leq[idx[a]][idx[b]] = True
         for k in range(n):

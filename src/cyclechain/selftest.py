@@ -27,7 +27,7 @@ def random_element(rng: random.Random) -> Element:
 
 def _suite_axioms(rng: random.Random) -> bool:
     gens_c = [("C", n) for n in range(1, 7)]
-    gens_m = [("C", n) for n in range(1, 4)] + [("L", n) for n in range(1, 4)]
+    gens_m = [(g, n) for g in "CL" for n in range(1, 4)]
     return bool(check_axioms(cycle_product_rule(), gens_c)) and bool(
         check_axioms(element_product_rule(), gens_m)
     )

@@ -42,7 +42,7 @@ VALUED = {
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["eval", "divide", "atoms", "classify", "check-divide",
+    command = draw(st.sampled_from(["eval", "divide", "atoms", "classify", "green", "check-divide",
                                     "ideal-meet", "poly-solve"]))
 
     def expr():
@@ -54,6 +54,8 @@ def argvs(draw):
         head = ["oracle", "check-divide", expr(), expr()]
     elif command in ("divide", "ideal-meet"):
         head = [command, expr(), expr()]
+    elif command == "green":
+        head = ["green", expr(), expr(), "--rel", draw(st.sampled_from(["R", "Rstar", "Rtilde"]))]
     elif command == "poly-solve":
         head = ["poly-solve", "--poly", draw(polys), "--target", expr()]
     else:

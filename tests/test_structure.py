@@ -3,10 +3,14 @@ from typing import Optional
 
 import pytest
 
-from cyclechain import division
+from cyclechain import division, structure
 from cyclechain.cycles import CycleSum, ODD_ONE, OddSet
 from cyclechain.lattice import divisors
 from cyclechain.structure import (
+    RELATIONS,
+    _classify_sets,
+    _green_sets,
+    _ideal_intersect_sets,
     classify,
     coregular_representative,
     green,
@@ -125,6 +129,91 @@ class TestClosedFormsAgainstDefinitions:
             y = x * rand_unit(rng, parts=WIDE_PARTS[:8], levels=4) if rng.random() < 0.5 else wide_sum(rng, 8)
             by_rep = ref_coregular_representative(x) == ref_coregular_representative(y)
             assert green(x, y, "R") == by_rep
+
+
+class TestMasksAgainstSets:
+    """classify, green and ideal_intersect on the masks of one layout give
+    exactly the values of the OddSet code they fall back to."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(96)
+        for _ in range(300):
+            x = wide_sum(rng, rng.randint(0, 96))
+            z = wide_sum(rng, rng.randint(0, 96))
+            kind = rng.randrange(6)
+            if kind == 0:
+                y = z
+            elif kind == 1:
+                # the same R-class
+                y = x * rand_unit(rng, parts=WIDE_PARTS[:8], levels=4)
+            elif kind == 2:
+                # an idempotent, hence regular
+                y = z.odd_part.as_cycles()
+            elif kind == 3:
+                # a regular x, a + a*m, against a full y
+                a = x.odd_part.as_cycles()
+                x, y = a + a * x.even_part, z
+            elif kind == 4:
+                # level 1 is C1, so both closures are C1; the odd parts differ
+                x = x + x.level(1).as_cycles(1) + C(2)
+                y = x + z.odd_part.as_cycles()
+            else:
+                # no odd parts, so the reduced pair multiplies to zero
+                x, y = x.even_part, z.even_part
+            assert division.layout(x, y) is not None
+            yield x, y
+
+    def test_classify(self):
+        for x, y in self.pairs():
+            for z in (x, y):
+                assert classify(z) == _classify_sets(z)
+
+    def test_green(self):
+        related = {rel: 0 for rel in RELATIONS}
+        for x, y in self.pairs():
+            for rel in RELATIONS:
+                got = green(x, y, rel)
+                assert got == _green_sets(x, y, rel)
+                related[rel] += got
+        assert all(0 < n < 300 for n in related.values()), related
+
+    def test_ideal_intersect(self):
+        branches = {"regular": 0, "zero product": 0, "unknown": 0}
+        for x, y in self.pairs():
+            got = ideal_intersect(x, y)
+            # equal generators, not just generators of the same ideal
+            assert got == _ideal_intersect_sets(x, y)
+            if is_regular(x) or is_regular(y):
+                branches["regular"] += 1
+            else:
+                branches["zero product" if got.kind == "principal" else "unknown"] += 1
+        assert all(branches.values()), branches
+
+    def test_refused_layouts_fall_back(self, monkeypatch):
+        ran = []
+        for name in ("_classify_sets", "_green_sets", "_ideal_intersect_sets"):
+            def spy(*args, f=getattr(structure, name), name=name):
+                ran.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(structure, name, spy)
+        over_budget = C(999983)  # prime: too many trial divisions for two terms
+        many_primes = CycleSum.from_lengths(range(3, 44, 2))  # 13 primes, 16384 divisors
+        unit = lengths(1, 2, 12)
+        cases = [(over_budget, over_budget * unit), (over_budget + C(2), lengths(3, 4)),
+                 (many_primes, many_primes * unit), (many_primes + C(6), lengths(3, 10))]
+        for x, y in cases:
+            assert division.layout(x) is None and division.layout(x, y) is None
+            ran.clear()
+            c = classify(x)
+            related = [green(x, y, rel) for rel in RELATIONS]
+            ideal_intersect(x, y)
+            assert ran == ["_classify_sets"] + ["_green_sets"] * 3 + ["_ideal_intersect_sets"]
+            assert c.plus_closure == x.plus_closure and c.coregular_rep == coregular_representative(x)
+            assert related[RELATIONS.index("R")] == (y == x * unit)
+        assert classify(over_budget).is_idempotent
+        assert ideal_intersect(many_primes, C(2)).generator == many_primes * C(2)
 
 
 class TestClassify:
