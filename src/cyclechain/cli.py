@@ -63,6 +63,7 @@ def cmd_eval(args) -> int:
 
 def _divide_cycles(a: CycleSum, b: CycleSum, args) -> int:
     sol = division.solve(a, b)
+    least = division.min_solution(sol) if sol.solvable else None
     payload: dict = {
         "solvable": sol.solvable,
         "lambda0": oddset_json(sol.lambda0),
@@ -75,10 +76,7 @@ def _divide_cycles(a: CycleSum, b: CycleSum, args) -> int:
         "min_solution": None,
     }
     if sol.solvable:
-        payload["min_solution"] = {
-            "cycles": cyclesum_json(division.min_solution(sol)),
-            "chains": [],
-        }
+        payload["min_solution"] = {"cycles": cyclesum_json(least), "chains": []}
     sols: list = []
     if args.enumerate is not None:
         k = args.k if args.k is not None else math.lcm(sol.a.stats()[0], sol.b.stats()[0])
@@ -95,7 +93,7 @@ def _divide_cycles(a: CycleSum, b: CycleSum, args) -> int:
         if not sol.solvable:
             print("no solution")
         else:
-            print(f"solvable; minimal solution: {division.min_solution(sol)}")
+            print(f"solvable; minimal solution: {least}")
             print(f"level 0 interval: [{sol.lambda0}, {sol.upsilon0}]")
             for i, (lo, hi) in enumerate(sol.head, start=1):
                 print(f"level {i} interval: [{lo}, {hi}]")

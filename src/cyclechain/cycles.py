@@ -80,6 +80,12 @@ class OddSet:
         """Complement below the top element C1."""
         return self + ODD_ONE
 
+    # the operators of the atom-coordinate masks, so one formula reads
+    # alike on masks and on OddSets (``~`` only ever under ``&``)
+    __and__ = __mul__
+    __xor__ = __add__
+    __invert__ = complement
+
     def __le__(self, other: "OddSet") -> bool:
         return self * other == self
 

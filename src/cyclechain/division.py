@@ -5,19 +5,57 @@ lattice, one per dyadic level: a level-0 interval obtained by folding the
 per-level constraints, an explicit interval per level up to the horizon,
 and a uniform tail bound above it.  Solvability, membership, the minimal
 solution and a complete restricted enumeration all read off that data.
+
+Each formula has one body, written on a coordinate interface: ``zero``,
+``top``, ``&`` the product, ``^`` the sum, ``|`` the join, ``~`` the
+complement (only under ``&``), ``encode``/``decode`` and ``parity``.  Two
+types provide it.  ``DivisorBits`` masks are the atom coordinates of the
+lcm of the odd parts in play; ``ODD_COORDS``, where each idempotent is its
+own ``OddSet``, serves the moduli whose layout is not worth building.
+``layout`` alone chooses between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
 from .lattice import DivisorBits, divisor_bits, window_bits
 
 T = TypeVar("T")
 _END = object()
+
+
+class OddCoords:
+    """The coordinates of refused layouts: each idempotent is its own
+    ``OddSet``, whose operators are those of the masks."""
+
+    __slots__ = ()
+    k = None
+    zero = ODD_ZERO
+    top = ODD_ONE
+
+    @staticmethod
+    def encode(lengths: frozenset[int]) -> OddSet:
+        return OddSet._make(frozenset(lengths))
+
+    @staticmethod
+    def decode(x: OddSet) -> frozenset[int]:
+        return x.lengths
+
+    @staticmethod
+    def holds(lengths: frozenset[int]) -> bool:
+        return True
+
+    @staticmethod
+    def parity(x: OddSet) -> int:
+        return x.parity
+
+
+ODD_COORDS = OddCoords()
+Coords = Union[DivisorBits, OddCoords]
 
 
 class IntervalSolutionSet:
@@ -27,17 +65,17 @@ class IntervalSolutionSet:
     1 <= i <= n lies in head[i-1]; every level above n is bounded above by
     tail_hi (and below by 0).  The set is nonempty iff ``solvable``.
 
-    The endpoints are held in the coordinates of ``bits``: as masks of
-    that ``DivisorBits`` layout, or as ``OddSet`` values when it is None.
-    A mask is decoded the first time its endpoint is read, and the
-    ``OddSet`` kept.  Equality, hash and repr go by the decoded values, so
-    a set from either path equals the other and prints the same.
+    The endpoints are held in the coordinates ``bits``: masks of a
+    ``DivisorBits`` layout, or ``OddSet`` values under ``ODD_COORDS``.  An
+    endpoint is decoded the first time it is read, and the ``OddSet`` kept.
+    Equality, hash and repr go by the decoded values, so sets held in
+    different coordinates compare and print alike.
     """
 
     __slots__ = ("a", "b", "solvable", "n", "bits", "_lam0", "_ups0", "_head", "_free", "_decoded")
 
     def __init__(self, a: CycleSum, b: CycleSum, solvable: bool, lambda0, upsilon0,
-                 head: tuple, tail_hi, n: int, bits: Optional[DivisorBits] = None):
+                 head: tuple, tail_hi, n: int, bits: Coords):
         self.a = a
         self.b = b
         self.solvable = solvable
@@ -47,11 +85,9 @@ class IntervalSolutionSet:
         self._ups0 = upsilon0
         self._head = head
         self._free = tail_hi
-        self._decoded: dict[int, OddSet] = {}
+        self._decoded: dict = {}
 
     def _odd(self, x) -> OddSet:
-        if self.bits is None:
-            return x
         odd = self._decoded.get(x)
         if odd is None:
             odd = self._decoded[x] = decoded(self.bits, x)
@@ -68,7 +104,7 @@ class IntervalSolutionSet:
             return (self._lam0, self._ups0)
         if i <= self.n:
             return self._head[i - 1]
-        return (ODD_ZERO if self.bits is None else 0, self._free)
+        return (self.bits.zero, self._free)
 
     def level_interval(self, i: int) -> tuple[OddSet, OddSet]:
         """The (lo, hi) pair constraining level i of a solution."""
@@ -96,23 +132,25 @@ class IntervalSolutionSet:
 def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
     """Characterise the solutions of a*x = b.
 
-    Runs the per-level formulas in the atom coordinates of ``layout(a, b)``,
-    and keeps the endpoints as masks of that layout; falls back to the set
-    formulas when the layout is not worth building.
+    Runs the per-level formulas in the coordinates of ``layout(a, b)``,
+    and keeps the endpoints there.
     """
-    coords = layout(a, b)
-    if coords is None:
-        return _solve_sets(a, b, max(a.max_level, b.max_level))
-    bits, (A, B), n = coords
-    top = bits.top
-    a0 = A.get(0, 0)
-    b0 = B.get(0, 0)
+    bits, (A, B), n = layout(a, b)
+    return _solved(a, b, bits, A, B, n)
 
-    lam0 = 0
+
+def _solved(a: CycleSum, b: CycleSum, bits: Coords, A: dict, B: dict, n: int) -> IntervalSolutionSet:
+    """The solutions of a*x = b from the levels A of a and B of b in the
+    coordinates ``bits``, with explicit intervals up to level n."""
+    zero, top = bits.zero, bits.top
+    a0 = A.get(0, zero)
+    b0 = B.get(0, zero)
+
+    lam0 = zero
     ups0 = top
     for i in range(n + 1):
-        ai = A.get(i, 0)
-        bi = B.get(i, 0)
+        ai = A.get(i, zero)
+        bi = B.get(i, zero)
         li = bi ^ (a0 & bi) ^ (ai & b0)
         lam0 |= li
         ups0 &= li ^ ai ^ top
@@ -120,20 +158,20 @@ def solve(a: CycleSum, b: CycleSum) -> IntervalSolutionSet:
     free = a0 ^ top
     head = []
     for i in range(1, n + 1):
-        lo = (a0 & B.get(i, 0)) ^ (A.get(i, 0) & b0)
+        lo = (a0 & B.get(i, zero)) ^ (A.get(i, zero) & b0)
         head.append((lo, lo ^ free))
     return IntervalSolutionSet(a, b, lam0 & ups0 == lam0, lam0, ups0, tuple(head), free, n, bits)
 
 
-def layout(*xs: CycleSum) -> Optional[tuple[DivisorBits, list[dict[int, int]], int]]:
-    """The atom coordinates of k = lcm of the odd parts of xs, with each
-    x's levels encoded as masks there (one dict from level to mask per x),
-    and the highest level n of the xs.
+def layout(*xs: CycleSum) -> tuple[Coords, list[dict], int]:
+    """The coordinates for xs, with each x's levels encoded there (one
+    dict from level to coordinate per x), and the highest level n of the xs.
 
-    None when the layout is not worth building: factoring k would take
-    more trial divisions than the set formulas multiply pairs of terms
-    over all levels, (terms + 1) * ... * (levels + 1), or k has more than
-    ``MAX_BIT_DIVISORS`` divisors.
+    The coordinates are the atom coordinates of k = lcm of the odd parts
+    of xs, or ``ODD_COORDS`` when that layout is not worth building:
+    factoring k would take more trial divisions than the OddSet products
+    multiply pairs of terms over all levels, (terms + 1) * ... *
+    (levels + 1), or k has more than ``MAX_BIT_DIVISORS`` divisors.
     """
     k, n, pairs = 1, 0, 1
     for x in xs:
@@ -145,46 +183,16 @@ def layout(*xs: CycleSum) -> Optional[tuple[DivisorBits, list[dict[int, int]], i
         if levels:  # sorted by level
             n = max(n, levels[-1][0])
         pairs *= terms
-    bits = divisor_bits(k, pairs * (n + 1))
-    if bits is None:
-        return None
+    bits = divisor_bits(k, pairs * (n + 1)) or ODD_COORDS
     masks = []
     for x in xs:
         masks.append({i: bits.encode(odd.lengths) for i, odd in x.items()})
     return bits, masks, n
 
 
-def decoded(bits: DivisorBits, x: int) -> OddSet:
-    """The idempotent with mask x in the atom coordinates ``bits``."""
+def decoded(bits: Coords, x) -> OddSet:
+    """The idempotent with coordinate x in ``bits``."""
     return OddSet._make(frozenset(bits.decode(x)))
-
-
-def _terms(x: CycleSum) -> int:
-    return sum(len(odd) for _, odd in x.items())
-
-
-def _solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:
-    """``solve`` by the OddSet formulas: the path for moduli without a bit
-    layout, and the reference the bit path is tested against."""
-    a0 = a.odd_part
-    b0 = b.odd_part
-
-    lam0 = ODD_ZERO
-    ups0 = ODD_ONE
-    for i in range(n + 1):
-        ai = a.level(i)
-        bi = b.level(i)
-        li = bi + a0 * bi + ai * b0
-        ui = li + ai + ODD_ONE
-        lam0 = lam0 | li
-        ups0 = ups0 * ui
-
-    head = []
-    for i in range(1, n + 1):
-        lo = a0 * b.level(i) + a.level(i) * b0
-        head.append((lo, lo + a0 + ODD_ONE))
-
-    return IntervalSolutionSet(a, b, lam0 * ups0 == lam0, lam0, ups0, tuple(head), a0 + ODD_ONE, n)
 
 
 def min_solution(sol: IntervalSolutionSet) -> CycleSum:
@@ -198,51 +206,23 @@ def min_solution(sol: IntervalSolutionSet) -> CycleSum:
 def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
     """Whether x solves the equation, checked level by level.
 
-    When x's odd parts divide the modulus of the solution's layout, x is
-    encoded in it and compared with the stored masks.  Otherwise this works
-    in the atom coordinates of the lcm of the equation's modulus and x's
-    odd parts, since a solution may carry odd parts outside the former
-    (C5 + C15 solves C3*x = 0).
+    x is encoded in the coordinates of the solution and compared with the
+    stored endpoints.  When x's odd parts fall outside them, the equation
+    is solved again in ``layout(a, b, x)``, since a solution may carry odd
+    parts outside the equation's modulus (C5 + C15 solves C3*x = 0).
     """
     if not sol.solvable:
         return False
     bits = sol.bits
-    levels = set(range(sol.n + 1)).union(i for i, _ in x.items())
-    if bits is not None and all(bits.index.keys() >= odd.lengths for _, odd in x.items()):
-        bounds = {i: sol.level_coords(i) for i in levels}
+    if all(bits.holds(odd.lengths) for _, odd in x.items()):
+        X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
     else:
-        bounds = {i: sol.level_interval(i) for i in levels}
-        pairs = (_terms(x) + 1) * (1 + sum(len(lo) + len(hi) for lo, hi in bounds.values()))
-        k = lcm(sol.a.stats()[0], sol.b.stats()[0], x.stats()[0])
-        bits = divisor_bits(k, pairs)
-        if bits is None:
-            return _membership_sets(sol, x)
-        bounds = {i: (bits.encode(lo.lengths), bits.encode(hi.lengths))
-                  for i, (lo, hi) in bounds.items()}
-    X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
-    for i, (lo, hi) in bounds.items():
-        xi = X.get(i, 0)
+        bits, (A, B, X), n = layout(sol.a, sol.b, x)
+        sol = _solved(sol.a, sol.b, bits, A, B, n)
+    for i in set(range(sol.n + 1)).union(X):
+        lo, hi = sol.level_coords(i)
+        xi = X.get(i, bits.zero)
         if lo & ~xi or xi & ~hi:
-            return False
-    return True
-
-
-def _membership_sets(sol: IntervalSolutionSet, x: CycleSum) -> bool:
-    """``membership`` by the OddSet order: the path for moduli without a
-    bit layout, and the reference the bit path is tested against."""
-    if not sol.solvable:
-        return False
-    checked = set()
-    for i, xi in x.items():
-        lo, hi = sol.level_interval(i)
-        if not (lo <= xi and xi <= hi):
-            return False
-        checked.add(i)
-    for i in range(sol.n + 1):
-        if i in checked:
-            continue
-        lo, _ = sol.level_interval(i)
-        if lo:
             return False
     return True
 
@@ -332,7 +312,7 @@ def level_factors(
     if any(sol.level_coords(i)[0] for i in range(n + 1, sol.n + 1)):
         return []
     ends = [sol.level_coords(i) for i in range(n + 1)]
-    if sol.bits is None or sol.bits.k != bits.k:
+    if sol.bits.k != bits.k:
         def move(e) -> int:
             return bits.encode(sol._odd(e).lengths)
 
@@ -373,9 +353,9 @@ def enumerate_restricted(
         yield x
 
 
-def interval_has_parity(lo, hi, t: int, bits: Optional[DivisorBits] = None) -> bool:
+def interval_has_parity(lo, hi, t: int, bits: Coords = ODD_COORDS) -> bool:
     """Whether [lo, hi] contains an element of support-size parity t; lo
-    and hi are OddSets, or masks of the atom coordinates ``bits``.
+    and hi are coordinates in ``bits``, OddSets by default.
 
     The interval is lo + w over w below hi*not(lo); a strict-parity
     element exists among the w's iff that bound has odd support size,
@@ -384,9 +364,5 @@ def interval_has_parity(lo, hi, t: int, bits: Optional[DivisorBits] = None) -> b
     the product is ``&``, so the bound's parity is hi's and not lo's.
     Assumes the interval is nonempty.
     """
-    if bits is None:
-        p, q = lo.parity, hi.parity
-    else:
-        j = bits.index[bits.k]
-        p, q = lo >> j & 1, hi >> j & 1
+    p, q = bits.parity(lo), bits.parity(hi)
     return p == t or (q == 1 and p == 0)

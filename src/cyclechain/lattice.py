@@ -540,7 +540,9 @@ class DivisorBits:
     {j | k : q | j}, the mod-2 zeta transform over the divisor lattice.
     There the lcm-convolution product is ``&``, the sum ``^``, the join
     ``|``, the complement XOR with ``top`` and ``<=`` a subset test, and the
-    bit at j = k is the parity of the support size.
+    bit at j = k is the parity of the support size.  ``zero``, ``top``,
+    ``encode``, ``decode``, ``holds`` and ``parity`` are the coordinate
+    interface the solvers run on (``division.ODD_COORDS`` is the other).
 
     The divisor lattice is a product of one chain per prime, so the zeta
     transform is a prefix XOR along each chain: one shift-XOR pass per
@@ -549,6 +551,7 @@ class DivisorBits:
     """
 
     __slots__ = ("k", "divisors", "index", "top", "_passes")
+    zero = 0
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
         divisors = [1]
@@ -593,6 +596,14 @@ class DivisorBits:
             out.append(divisors[low.bit_length() - 1])
             x ^= low
         return out
+
+    def holds(self, lengths: Iterable[int]) -> bool:
+        """Whether every one of these lengths divides k."""
+        return self.index.keys() >= lengths
+
+    def parity(self, x: int) -> int:
+        """The support-size parity of the idempotent with mask x."""
+        return x >> self.index[self.k] & 1
 
     def members(self, lo: int, hi: int) -> Iterator[int]:
         """The masks of the interval [lo, hi], lazily; none unless lo <= hi.

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
-from .poly import CubicPoly, fold_exponent, reduce_poly
+from .poly import CubicPoly, fold_coeffs, fold_exponent, reduce_poly
 
 MAX_INT = 10**6
 # Deepest nesting of parentheses and chained powers; the parser and the
@@ -248,17 +248,7 @@ def _poly_mul(p: list[CycleSum], q: list[CycleSum]) -> list[CycleSum]:
             continue
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
-    return _poly_reduce_coeffs(out)
-
-
-def _poly_reduce_coeffs(coeffs: list[CycleSum]) -> list[CycleSum]:
-    folded = [CycleSum.zero()] * min(len(coeffs), 4)
-    for e, c in enumerate(coeffs):
-        slot = fold_exponent(e)
-        folded[slot] = folded[slot] + c
-    while len(folded) > 1 and not folded[-1]:
-        folded.pop()
-    return folded
+    return fold_coeffs(out)
 
 
 def _eval_poly_node(node: Node) -> list[CycleSum]:

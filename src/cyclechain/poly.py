@@ -42,13 +42,20 @@ def fold_exponent(e: int) -> int:
     return e if e < 4 else 2 + (e & 1)
 
 
-def reduce_poly(coeffs: Sequence[CycleSum]) -> CubicPoly:
-    """Fold a coefficient list (index = exponent) into an equivalent cubic."""
+def fold_coeffs(coeffs: Sequence[CycleSum]) -> list[CycleSum]:
+    """Fold a coefficient list (index = exponent) into the four of an
+    equivalent cubic, by ``fold_exponent``."""
     folded = [CycleSum.zero()] * 4
     for e, coeff in enumerate(coeffs):
         slot = fold_exponent(e)
         folded[slot] = folded[slot] + coeff
-    return CubicPoly(a=folded[3], b=folded[2], c=folded[1], d=folded[0])
+    return folded
+
+
+def reduce_poly(coeffs: Sequence[CycleSum]) -> CubicPoly:
+    """Fold a coefficient list (index = exponent) into an equivalent cubic."""
+    d, c, b, a = fold_coeffs(coeffs)
+    return CubicPoly(a=a, b=b, c=c, d=d)
 
 
 def eval_poly(p: CubicPoly, x: CycleSum) -> CycleSum:

@@ -14,14 +14,14 @@ one product a*m:
   divisibility relation used as a cross-check.
 
 ``classify``, ``green`` and ``ideal_intersect`` read these forms from the
-per-level masks of one ``DivisorBits`` layout over the lcm of the
-operands' odd parts (``division.layout``), where the product is ``&``.
-With a the level-0 mask and M the OR of the masks of levels >= 1, x is
-regular iff M & ~a = 0 and co-regular iff M & a = 0, its closure is
-a | M, and its co-regular representative maps each level m_i >= 1 to
-m_i & ~a.  Only returned values are decoded.  When the layout is refused,
-the same forms run on ``OddSet`` values (the ``_sets`` functions), which
-are also the reference in the tests.
+per-level coordinates of one ``division.layout`` over the operands, where
+the product is ``&``: the masks of a ``DivisorBits`` layout over the lcm
+of their odd parts, or the ``OddSet`` values themselves when that layout
+is refused.  Each has one body for both.  With a the level-0 coordinate
+and M the OR of those of levels >= 1, x is regular iff M & ~a = 0 and
+co-regular iff M & a = 0, its closure is a | M, and its co-regular
+representative maps each level m_i >= 1 to m_i & ~a.  Only returned
+values are decoded.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Optional
 
 from . import division
 from .cycles import CycleSum, ODD_ONE, OddSet
-from .lattice import DivisorBits
 
 
 @dataclass(frozen=True)
@@ -70,23 +69,20 @@ def is_coregular(x: CycleSum) -> bool:
     return not _odd_times_even(x)
 
 
-def _split(X: dict[int, int]) -> tuple[int, int]:
-    """(a, M) for the level masks X of x = a + m: the level-0 mask and the
-    OR of the masks of levels >= 1."""
-    return X.get(0, 0), reduce(or_, (m for i, m in X.items() if i), 0)
+def _split(bits: division.Coords, X: dict) -> tuple:
+    """(a, M) for the level coordinates X of x = a + m: the level-0 one
+    and the OR of those of levels >= 1."""
+    return X.get(0, bits.zero), reduce(or_, (m for i, m in X.items() if i), bits.zero)
 
 
-def _cycles(bits: DivisorBits, X: dict[int, int]) -> CycleSum:
-    """The cycle sum with level masks X."""
+def _cycles(bits: division.Coords, X: dict) -> CycleSum:
+    """The cycle sum with level coordinates X."""
     return CycleSum._make({i: division.decoded(bits, m) for i, m in X.items() if m})
 
 
 def classify(x: CycleSum) -> Classification:
-    coords = division.layout(x)
-    if coords is None:
-        return _classify_sets(x)
-    bits, (X,), _ = coords
-    a, M = _split(X)
+    bits, (X,), _ = division.layout(x)
+    a, M = _split(bits, X)
     rep = x
     if M & a:
         rep = _cycles(bits, {i: m & ~a if i else m for i, m in X.items()})
@@ -97,18 +93,6 @@ def classify(x: CycleSum) -> Classification:
         is_coregular=not M & a,
         plus_closure=division.decoded(bits, a | M),
         coregular_rep=rep,
-    )
-
-
-def _classify_sets(x: CycleSum) -> Classification:
-    am = _odd_times_even(x)
-    return Classification(
-        is_unit=is_unit(x),
-        is_idempotent=x.is_idempotent,
-        is_regular=am == x.even_part,
-        is_coregular=not am,
-        plus_closure=x.plus_closure,
-        coregular_rep=x + am,
     )
 
 
@@ -125,31 +109,18 @@ def green(x: CycleSum, y: CycleSum, relation: str) -> bool:
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
-    coords = division.layout(x, y)
-    if coords is None:
-        return _green_sets(x, y, relation)
-    _, (X, Y), _ = coords
-    a, M = _split(X)
-    b, N = _split(Y)
+    bits, (X, Y), _ = division.layout(x, y)
+    zero = bits.zero
+    a, M = _split(bits, X)
+    b, N = _split(bits, Y)
     if relation == "Rtilde":
         return a | M == b | N
     if relation == "Rstar":
         return a | M == b | N and a == b
     levels = X.keys() | Y.keys()
-    closure_of_sum = reduce(or_, (X.get(i, 0) ^ Y.get(i, 0) for i in levels), 0)
+    closure_of_sum = reduce(or_, (X.get(i, zero) ^ Y.get(i, zero) for i in levels), zero)
     by_formula = a == b and not closure_of_sum & ~a
-    by_rep = a == b and all(X.get(i, 0) & ~a == Y.get(i, 0) & ~b for i in levels if i)
-    return _cross_checked(x, y, by_formula, by_rep)
-
-
-def _green_sets(x: CycleSum, y: CycleSum, relation: str) -> bool:
-    if relation == "Rtilde":
-        return x.plus_closure == y.plus_closure
-    if relation == "Rstar":
-        return x.plus_closure == y.plus_closure and x.odd_part == y.odd_part
-    x0 = x.odd_part
-    by_formula = x0 == y.odd_part and (x + y).plus_closure <= x0
-    by_rep = coregular_representative(x) == coregular_representative(y)
+    by_rep = a == b and all(X.get(i, zero) & ~a == Y.get(i, zero) & ~b for i in levels if i)
     return _cross_checked(x, y, by_formula, by_rep)
 
 
@@ -160,24 +131,6 @@ def _cross_checked(x: CycleSum, y: CycleSum, by_formula: bool, by_rep: bool) -> 
             f"disagree on ({x}, {y})"
         )
     return by_formula
-
-
-def ideal_reduce(x: CycleSum, y: CycleSum) -> tuple[CycleSum, CycleSum]:
-    """Replace (x, y) by (x*yc, y*xc) without changing the ideal meet.
-
-    The two results have equal closures; that postcondition is checked.
-    """
-    alpha = x * y.plus_closure.as_cycles()
-    beta = y * x.plus_closure.as_cycles()
-    if alpha.plus_closure != beta.plus_closure:
-        raise _unequal_closures(alpha, beta)
-    return alpha, beta
-
-
-def _unequal_closures(alpha: CycleSum, beta: CycleSum) -> RuntimeError:
-    return RuntimeError(
-        f"internal error: reduced pair ({alpha}, {beta}) has unequal closures"
-    )
 
 
 @dataclass(frozen=True)
@@ -196,42 +149,31 @@ def ideal_intersect(x: CycleSum, y: CycleSum) -> IdealMeetResult:
     is open, hence the honest "unknown" fallback.  Any returned generator
     is verified to be divisible by both x and y.
 
-    In masks, with x = a + m and y = b + n: x*y is a & b at level 0 and
-    a & n_i ^ m_i & b at level i; the reduced pair is alpha_i = x_i &
+    In coordinates, with x = a + m and y = b + n: x*y is a & b at level 0
+    and a & n_i ^ m_i & b at level i; the reduced pair is alpha_i = x_i &
     closure(y) and beta_i = y_i & closure(x); and the generator of the
     second case is alpha_i & ~s, s the OR of the alpha_i ^ beta_i.
     """
-    coords = division.layout(x, y)
-    if coords is None:
-        return _ideal_intersect_sets(x, y)
-    bits, (X, Y), _ = coords
-    a, M = _split(X)
-    b, N = _split(Y)
+    bits, (X, Y), _ = division.layout(x, y)
+    zero = bits.zero
+    a, M = _split(bits, X)
+    b, N = _split(bits, Y)
     levels = X.keys() | Y.keys()
     if not M & ~a or not N & ~b:
         product = {0: a & b}
         for i in levels - {0}:
-            product[i] = a & Y.get(i, 0) ^ X.get(i, 0) & b
+            product[i] = a & Y.get(i, zero) ^ X.get(i, zero) & b
         return _verified(x, y, _cycles(bits, product))
     alpha = {i: m & (b | N) for i, m in X.items()}
     beta = {i: m & (a | M) for i, m in Y.items()}
-    if reduce(or_, alpha.values(), 0) != reduce(or_, beta.values(), 0):
-        raise _unequal_closures(_cycles(bits, alpha), _cycles(bits, beta))
-    a0, b0 = alpha.get(0, 0), beta.get(0, 0)
-    if a0 & b0 or any(a0 & beta.get(i, 0) ^ alpha.get(i, 0) & b0 for i in levels if i):
+    if reduce(or_, alpha.values(), zero) != reduce(or_, beta.values(), zero):
+        pair = f"({_cycles(bits, alpha)}, {_cycles(bits, beta)})"
+        raise RuntimeError(f"internal error: reduced pair {pair} has unequal closures")
+    a0, b0 = alpha.get(0, zero), beta.get(0, zero)
+    if a0 & b0 or any(a0 & beta.get(i, zero) ^ alpha.get(i, zero) & b0 for i in levels if i):
         return IdealMeetResult(kind="unknown")
-    s = reduce(or_, (alpha.get(i, 0) ^ beta.get(i, 0) for i in levels), 0)
+    s = reduce(or_, (alpha.get(i, zero) ^ beta.get(i, zero) for i in levels), zero)
     return _verified(x, y, _cycles(bits, {i: m & ~s for i, m in alpha.items()}))
-
-
-def _ideal_intersect_sets(x: CycleSum, y: CycleSum) -> IdealMeetResult:
-    if is_regular(x) or is_regular(y):
-        return _verified(x, y, x * y)
-    alpha, beta = ideal_reduce(x, y)
-    if not alpha * beta:
-        gamma = (CycleSum.one() + (alpha + beta).plus_closure.as_cycles()) * alpha
-        return _verified(x, y, gamma)
-    return IdealMeetResult(kind="unknown")
 
 
 def _verified(x: CycleSum, y: CycleSum, g: CycleSum) -> IdealMeetResult:

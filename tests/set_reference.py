@@ -1,0 +1,110 @@
+"""The OddSet formulas of division and structure: the test reference.
+
+Each is the per-level formula of a solver written directly on ``OddSet``
+values and ``CycleSum`` products, independently of the coordinate
+interface that ``division`` and ``structure`` run on.  The differential
+tests compare the solvers with these, value for value, generators
+included.
+"""
+
+from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO
+from cyclechain.division import ODD_COORDS, IntervalSolutionSet
+from cyclechain.structure import (
+    Classification,
+    IdealMeetResult,
+    _cross_checked,
+    _odd_times_even,
+    _verified,
+    coregular_representative,
+    is_regular,
+    is_unit,
+)
+
+
+def solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:
+    """``division.solve`` by the OddSet formulas, with intervals up to level n."""
+    a0 = a.odd_part
+    b0 = b.odd_part
+
+    lam0 = ODD_ZERO
+    ups0 = ODD_ONE
+    for i in range(n + 1):
+        ai = a.level(i)
+        bi = b.level(i)
+        li = bi + a0 * bi + ai * b0
+        ui = li + ai + ODD_ONE
+        lam0 = lam0 | li
+        ups0 = ups0 * ui
+
+    head = []
+    for i in range(1, n + 1):
+        lo = a0 * b.level(i) + a.level(i) * b0
+        head.append((lo, lo + a0 + ODD_ONE))
+
+    return IntervalSolutionSet(
+        a, b, lam0 * ups0 == lam0, lam0, ups0, tuple(head), a0 + ODD_ONE, n, ODD_COORDS
+    )
+
+
+def membership_sets(sol: IntervalSolutionSet, x: CycleSum) -> bool:
+    """``division.membership`` by the OddSet order."""
+    if not sol.solvable:
+        return False
+    checked = set()
+    for i, xi in x.items():
+        lo, hi = sol.level_interval(i)
+        if not (lo <= xi and xi <= hi):
+            return False
+        checked.add(i)
+    for i in range(sol.n + 1):
+        if i in checked:
+            continue
+        lo, _ = sol.level_interval(i)
+        if lo:
+            return False
+    return True
+
+
+def classify_sets(x: CycleSum) -> Classification:
+    am = _odd_times_even(x)
+    return Classification(
+        is_unit=is_unit(x),
+        is_idempotent=x.is_idempotent,
+        is_regular=am == x.even_part,
+        is_coregular=not am,
+        plus_closure=x.plus_closure,
+        coregular_rep=x + am,
+    )
+
+
+def green_sets(x: CycleSum, y: CycleSum, relation: str) -> bool:
+    if relation == "Rtilde":
+        return x.plus_closure == y.plus_closure
+    if relation == "Rstar":
+        return x.plus_closure == y.plus_closure and x.odd_part == y.odd_part
+    x0 = x.odd_part
+    by_formula = x0 == y.odd_part and (x + y).plus_closure <= x0
+    by_rep = coregular_representative(x) == coregular_representative(y)
+    return _cross_checked(x, y, by_formula, by_rep)
+
+
+def ideal_reduce(x: CycleSum, y: CycleSum) -> tuple[CycleSum, CycleSum]:
+    """Replace (x, y) by (x*yc, y*xc) without changing the ideal meet.
+
+    The two results have equal closures; that postcondition is checked.
+    """
+    alpha = x * y.plus_closure.as_cycles()
+    beta = y * x.plus_closure.as_cycles()
+    if alpha.plus_closure != beta.plus_closure:
+        raise RuntimeError(f"reduced pair ({alpha}, {beta}) has unequal closures")
+    return alpha, beta
+
+
+def ideal_intersect_sets(x: CycleSum, y: CycleSum) -> IdealMeetResult:
+    if is_regular(x) or is_regular(y):
+        return _verified(x, y, x * y)
+    alpha, beta = ideal_reduce(x, y)
+    if not alpha * beta:
+        gamma = (CycleSum.one() + (alpha + beta).plus_closure.as_cycles()) * alpha
+        return _verified(x, y, gamma)
+    return IdealMeetResult(kind="unknown")

@@ -1,9 +1,11 @@
-"""The atom-coordinate layout and the division paths that run on it.
+"""The atom-coordinate layout and the division solvers that run on it.
 
-The OddSet formulas (``_solve_sets``, ``_membership_sets``, the set order
-and products) are the reference every bit-path result is compared with.
-A bit-path solution set keeps its endpoints as masks and decodes each one
-when it is first read; it must be indistinguishable from the set path's.
+The OddSet formulas of ``set_reference`` (``solve_sets``,
+``membership_sets``, the set order and products) are the reference every
+result is compared with, in ``DivisorBits`` masks and in ``ODD_COORDS``
+alike.  A solution set keeps its endpoints in its coordinates and decodes
+each one when it is first read; it must be indistinguishable from the
+reference's.
 """
 
 import math
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from cyclechain import division, oracle
 from cyclechain.chains import ChainSum, Element, divide_full
 from cyclechain.cycles import CycleSum, OddSet
+from cyclechain.division import ODD_COORDS
 from cyclechain.lattice import (
     MAX_BIT_DIVISORS,
     DivisorBits,
@@ -23,6 +26,7 @@ from cyclechain.lattice import (
     divisor_count,
     divisors,
 )
+from set_reference import membership_sets, solve_sets
 
 D765765 = divisors(765765)  # 3^2 * 5 * 7 * 11 * 13 * 17: has a squared prime
 # odd parts outside 765765, for solutions that leave the equation's modulus
@@ -99,7 +103,10 @@ class TestLayoutAlgebra:
         assert OddSet(bits.decode(E | F)) == e | f
         assert OddSet(bits.decode(E ^ bits.top)) == e.complement()
         assert (E & F == E) == (e <= f)
-        assert E >> bits.index[765765] & 1 == e.parity
+        assert E >> bits.index[765765] & 1 == bits.parity(E) == e.parity
+        # the OddSet operators of the same formulas
+        assert (e & f, e ^ f, e & ~f) == (e * f, e + f, e * f.complement())
+        assert bits.holds(e.lengths) and not bits.holds({19})
 
 
 class TestSolveDifferential:
@@ -109,7 +116,7 @@ class TestSolveDifferential:
         # planted: b = a*y is solvable; otherwise b is arbitrary, often not
         b = a * y if planted else y
         sol = division.solve(a, b)
-        assert sol == division._solve_sets(a, b, sol.n)
+        assert sol == solve_sets(a, b, sol.n)
         if planted:
             assert sol.solvable
 
@@ -117,7 +124,7 @@ class TestSolveDifferential:
     @given(cycle_sums(D765765))
     def test_zero_divisor(self, b):
         sol = division.solve(CycleSum.zero(), b)
-        assert sol == division._solve_sets(CycleSum.zero(), b, sol.n)
+        assert sol == solve_sets(CycleSum.zero(), b, sol.n)
         assert sol.solvable == (not b)
 
     @settings(max_examples=150, deadline=None)
@@ -127,13 +134,13 @@ class TestSolveDifferential:
         b = a * (x if planted else y)
         sol = division.solve(a, b)
         got = division.membership(sol, x)
-        assert got == division._membership_sets(sol, x) == (a * x == b)
+        assert got == membership_sets(sol, x) == (a * x == b)
 
     def test_solution_outside_the_modulus(self):
         x = CycleSum.from_lengths([5, 15])
         sol = division.solve(CycleSum.single(3), CycleSum.zero())
         assert division.membership(sol, x)
-        assert division._membership_sets(sol, x)
+        assert membership_sets(sol, x)
 
     @settings(max_examples=50, deadline=None)
     @given(cycle_sums([1, 3, BIG_PRIME, 3 * BIG_PRIME], max_terms=3),
@@ -145,7 +152,8 @@ class TestSolveDifferential:
         if k % BIG_PRIME == 0:
             # the budget of inputs this small: (3 + 1) terms squared, 4 levels
             assert divisor_bits(k, 4 * 4 * 4) is None
-        assert sol == division._solve_sets(a, b, sol.n)
+            assert sol.bits is ODD_COORDS
+        assert sol == solve_sets(a, b, sol.n)
         assert sol.solvable and division.membership(sol, x)
 
     @settings(max_examples=200, deadline=None)
@@ -177,7 +185,7 @@ ENDPOINTS = ("lambda0", "upsilon0", "head", "tail_hi")
 class TestMaskEndpoints:
     def test_dataclass_repr_text(self):
         sol = division.solve(CycleSum.from_lengths([3, 10]), CycleSum.from_lengths([15, 30]))
-        assert sol.bits is not None
+        assert isinstance(sol.bits, DivisorBits)
         assert repr(sol) == (
             "IntervalSolutionSet(a=CycleSum('C3 + C10'), b=CycleSum('C15 + C30'), "
             "solvable=True, lambda0=OddSet('C15'), upsilon0=OddSet('C1 + C3 + C5'), "
@@ -189,7 +197,7 @@ class TestMaskEndpoints:
     def test_same_value_hash_and_repr_as_the_set_path(self, a, y, planted):
         b = a * y if planted else y
         sol = division.solve(a, b)
-        ref = division._solve_sets(a, b, sol.n)
+        ref = solve_sets(a, b, sol.n)
         assert sol == ref and ref == sol
         assert hash(sol) == hash(ref)
         assert repr(sol) == repr(ref)
@@ -200,7 +208,7 @@ class TestMaskEndpoints:
     def test_endpoints_do_not_depend_on_read_order(self, a, y, order, min_first):
         b = a * y
         sol = division.solve(a, b)
-        ref = division._solve_sets(a, b, sol.n)
+        ref = solve_sets(a, b, sol.n)
         if min_first:
             assert division.min_solution(sol) == division.min_solution(ref)
         got = {name: getattr(sol, name) for name in order}
@@ -225,11 +233,11 @@ class TestMaskEndpoints:
         # x's odd parts divide the layout's modulus; its levels reach above n
         b = a * y
         sol = division.solve(a, b)
-        assume(sol.bits is not None)
+        assume(sol.bits.k is not None)
         parts = [d for d in D765765 if sol.bits.k % d == 0]
         x = data.draw(cycle_sums(parts, levels=6))
         for z in (x, x + y, y):
-            assert division.membership(sol, z) == division._membership_sets(sol, z) == (a * z == b)
+            assert division.membership(sol, z) == membership_sets(sol, z) == (a * z == b)
 
     def test_membership_on_masks_builds_no_layout(self, monkeypatch):
         a = CycleSum.from_lengths([3, 10, 45])
@@ -237,7 +245,7 @@ class TestMaskEndpoints:
         # C3 + C45 annihilates C5 + C15, here at level 6
         x = y + CycleSum.from_lengths([5 << 6, 15 << 6])
         sol = division.solve(a, a * y)
-        assert sol.bits is not None and x.max_level > sol.n
+        assert sol.bits.k is not None and x.max_level > sol.n
 
         def refuse(*args):
             raise AssertionError("membership built a layout")
@@ -249,6 +257,18 @@ class TestMaskEndpoints:
             # an odd part outside the modulus (7) needs the widened layout
             division.membership(sol, x + CycleSum.single(7))
 
+    def test_membership_widens_into_a_refused_layout(self):
+        # the solution is held in masks over 3; x brings in a large prime,
+        # and the widened layout over 3 * 999983 is itself refused
+        a = CycleSum.single(3)
+        sol = division.solve(a, CycleSum.zero())
+        assert isinstance(sol.bits, DivisorBits)
+        x = CycleSum.from_lengths([999983, 2999949])
+        assert division.layout(a, CycleSum.zero(), x)[0] is ODD_COORDS
+        for z in (x, x + CycleSum.single(2 * 999983), CycleSum.single(999983)):
+            assert division.membership(sol, z) == membership_sets(sol, z) == (a * z == CycleSum.zero())
+        assert division.membership(sol, x)
+
     @settings(max_examples=100, deadline=None)
     @given(cycle_sums(D765765, levels=3), cycle_sums(D765765, levels=3),
            cycle_sums(OUTSIDE, levels=5), st.booleans())
@@ -256,12 +276,12 @@ class TestMaskEndpoints:
         b = a * (x if planted else y)
         sol = division.solve(a, b)
         z = x + CycleSum.single(19 << 4)
-        assert division.membership(sol, z) == division._membership_sets(sol, z) == (a * z == b)
+        assert division.membership(sol, z) == membership_sets(sol, z) == (a * z == b)
 
     @settings(max_examples=100, deadline=None)
     @given(cycle_sums(D765765), cycle_sums(D765765), st.integers(0, 1))
     def test_interval_parity_on_masks(self, a, y, t):
         sol = division.solve(a, a * y)
-        assume(sol.bits is not None)
+        assume(sol.bits.k is not None)
         want = division.interval_has_parity(sol.lambda0, sol.upsilon0, t)
         assert division.interval_has_parity(*sol.level_coords(0), t, sol.bits) == want

@@ -1,11 +1,16 @@
-"""At most one comprehension and one lambda per source line in ``src/``.
+"""Rules on the source of ``src/``, checked on its syntax tree.
 
-A profiler keys a function by (file, first line, name), and each
-comprehension or lambda is a function of its own, named ``<listcomp>``,
-``<genexpr>``, ``<lambda>`` and so on.  Two on one line can share a key,
-and a profile then keeps the call count of only one of them, chosen by
-memory address.  The per-module call counts of the benchmark's traced runs
-would then differ between two runs of the same queries.
+At most one comprehension and one lambda per source line.  A profiler
+keys a function by (file, first line, name), and each comprehension or
+lambda is a function of its own, named ``<listcomp>``, ``<genexpr>``,
+``<lambda>`` and so on.  Two on one line can share a key, and a profile
+then keeps the call count of only one of them, chosen by memory address.
+The per-module call counts of the benchmark's traced runs would then
+differ between two runs of the same queries.
+
+The solvers of ``division`` and ``structure`` choose their coordinates in
+one place: only ``division.layout`` calls ``divisor_bits``.  A second
+call site would be a second policy on when a layout is worth building.
 """
 
 import ast
@@ -40,3 +45,30 @@ def test_the_rule_sees_nesting_and_neighbours():
     assert crowded_lines("f = [lambda: 1] + [lambda: 2]\n") == [(1, "lambdas")]
     assert crowded_lines("x = [\n    [e for e in p] for p in q\n]\n") == []
     assert crowded_lines("f = lambda: (e for e in p)\n") == []
+
+
+def divisor_bits_callers(source: str) -> list[str]:
+    """The top-level definitions of source that call ``divisor_bits``."""
+    callers = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "divisor_bits":
+                    callers.append(getattr(top, "name", "<module>"))
+    return callers
+
+
+@pytest.mark.parametrize("module, allowed", [("division.py", {"layout"}), ("structure.py", set())])
+def test_only_layout_builds_a_layout(module, allowed):
+    assert set(divisor_bits_callers((SRC / "cyclechain" / module).read_text())) <= allowed
+
+
+def test_the_layout_rule_sees_every_call_site():
+    source = (
+        "def layout():\n    return divisor_bits(3)\n"
+        "class S:\n    def f(self):\n        return lattice.divisor_bits(3, 8)\n"
+        "bits = divisor_bits(5)\n"
+    )
+    assert divisor_bits_callers(source) == ["layout", "S", "<module>"]

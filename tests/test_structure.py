@@ -3,25 +3,23 @@ from typing import Optional
 
 import pytest
 
-from cyclechain import division, structure
+from cyclechain import division
 from cyclechain.cycles import CycleSum, ODD_ONE, OddSet
-from cyclechain.lattice import divisors
+from cyclechain.division import ODD_COORDS
+from cyclechain.lattice import DivisorBits, divisors
 from cyclechain.structure import (
     RELATIONS,
-    _classify_sets,
-    _green_sets,
-    _ideal_intersect_sets,
     classify,
     coregular_representative,
     green,
     ideal_intersect,
-    ideal_reduce,
     is_coregular,
     is_regular,
     is_unit,
 )
 
 from conftest import rand_cycles, rand_unit
+from set_reference import classify_sets, green_sets, ideal_intersect_sets, ideal_reduce
 
 C = CycleSum.single
 
@@ -132,8 +130,9 @@ class TestClosedFormsAgainstDefinitions:
 
 
 class TestMasksAgainstSets:
-    """classify, green and ideal_intersect on the masks of one layout give
-    exactly the values of the OddSet code they fall back to."""
+    """classify, green and ideal_intersect on the masks of one layout, and
+    on the OddSets of a refused one, give exactly the values of the OddSet
+    formulas in ``set_reference``."""
 
     @staticmethod
     def pairs():
@@ -161,20 +160,20 @@ class TestMasksAgainstSets:
             else:
                 # no odd parts, so the reduced pair multiplies to zero
                 x, y = x.even_part, z.even_part
-            assert division.layout(x, y) is not None
+            assert isinstance(division.layout(x, y)[0], DivisorBits)
             yield x, y
 
     def test_classify(self):
         for x, y in self.pairs():
             for z in (x, y):
-                assert classify(z) == _classify_sets(z)
+                assert classify(z) == classify_sets(z)
 
     def test_green(self):
         related = {rel: 0 for rel in RELATIONS}
         for x, y in self.pairs():
             for rel in RELATIONS:
                 got = green(x, y, rel)
-                assert got == _green_sets(x, y, rel)
+                assert got == green_sets(x, y, rel)
                 related[rel] += got
         assert all(0 < n < 300 for n in related.values()), related
 
@@ -183,33 +182,27 @@ class TestMasksAgainstSets:
         for x, y in self.pairs():
             got = ideal_intersect(x, y)
             # equal generators, not just generators of the same ideal
-            assert got == _ideal_intersect_sets(x, y)
+            assert got == ideal_intersect_sets(x, y)
             if is_regular(x) or is_regular(y):
                 branches["regular"] += 1
             else:
                 branches["zero product" if got.kind == "principal" else "unknown"] += 1
         assert all(branches.values()), branches
 
-    def test_refused_layouts_fall_back(self, monkeypatch):
-        ran = []
-        for name in ("_classify_sets", "_green_sets", "_ideal_intersect_sets"):
-            def spy(*args, f=getattr(structure, name), name=name):
-                ran.append(name)
-                return f(*args)
-
-            monkeypatch.setattr(structure, name, spy)
+    def test_refused_layouts_fall_back(self):
         over_budget = C(999983)  # prime: too many trial divisions for two terms
         many_primes = CycleSum.from_lengths(range(3, 44, 2))  # 13 primes, 16384 divisors
         unit = lengths(1, 2, 12)
         cases = [(over_budget, over_budget * unit), (over_budget + C(2), lengths(3, 4)),
                  (many_primes, many_primes * unit), (many_primes + C(6), lengths(3, 10))]
         for x, y in cases:
-            assert division.layout(x) is None and division.layout(x, y) is None
-            ran.clear()
+            assert division.layout(x)[0] is ODD_COORDS and division.layout(x, y)[0] is ODD_COORDS
             c = classify(x)
+            assert c == classify_sets(x)
             related = [green(x, y, rel) for rel in RELATIONS]
-            ideal_intersect(x, y)
-            assert ran == ["_classify_sets"] + ["_green_sets"] * 3 + ["_ideal_intersect_sets"]
+            assert related == [green_sets(x, y, rel) for rel in RELATIONS]
+            # equal generators, not just generators of the same ideal
+            assert ideal_intersect(x, y) == ideal_intersect_sets(x, y)
             assert c.plus_closure == x.plus_closure and c.coregular_rep == coregular_representative(x)
             assert related[RELATIONS.index("R")] == (y == x * unit)
         assert classify(over_budget).is_idempotent
