@@ -198,22 +198,14 @@ def cmd_atoms(args) -> int:
     if k < 1 or k % 2 == 0 or k > 10**6:
         print("error: k must be odd, positive and at most 10^6", file=sys.stderr)
         return 2
-    divisors = lattice.divisor_lattice(k).elements
-    atoms = {j: sorted(lattice.divisor_atom(k, j).support()) for j in divisors}
-    expansions = {i: lattice.divisor_atom_indices(k, i) for i in divisors}
+    bits = lattice.window_bits(k)
+    divisors = sorted(bits.divisors)
+    atoms = {j: sorted(bits.decode(1 << bits.index[j])) for j in divisors}
+    expansions = {
+        i: [j for j in divisors if j % i == 0] for i in divisors
+    }
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "atoms": {
-                        str(j): [int(l) for l in atom] for j, atom in atoms.items()
-                    },
-                    "expansions": {
-                        str(i): [int(j) for j in expansion] for i, expansion in expansions.items()
-                    },
-                }
-            )
-        )
+        print(json.dumps({"atoms": atoms, "expansions": expansions}))
     else:
         lines = [
             f"T{j} = " + " + ".join(f"C{l}" for l in atom)
@@ -458,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle_product)
 
-    p = osub.add_parser("check-divide", help="brute-force a*x = b in a window")
+    p = osub.add_parser("check-divide", help="solve a*x = b in a window by elimination over F2")
     p.add_argument("a")
     p.add_argument("b")
     # only the size of --k is checked here, so that factoring it cannot

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
 from .lattice import DivisorBits, divisor_bits, window_bits
@@ -55,7 +55,7 @@ class OddCoords:
 
 
 ODD_COORDS = OddCoords()
-Coords = Union[DivisorBits, OddCoords]
+Coords = "DivisorBits | OddCoords"
 
 
 class IntervalSolutionSet:

@@ -4,7 +4,8 @@ Everything here counts with natural-number multiplicities and reduces to
 parity only at the very end, staying independent of the closed-form mod-2
 arithmetic it is used to cross-check.  Products are built vertex by
 vertex, components are classified by walking the explicit graph, and the
-bounded equation search scans every candidate in a finite window.
+equation search in a finite window solves a*x = b by Gaussian elimination
+over F2 on the window's product formulas.
 """
 
 from __future__ import annotations
@@ -368,62 +369,31 @@ def element_gens(x: Element) -> list[tuple[str, int]]:
 
 
 class _SpaceTables:
-    """Per-window product tables for the brute-force search.
-
-    The window's generator set is closed under the oracle product, so
-    every product of a generator with a candidate is encoded as a bitmask
-    over the generators; the 2**n masks for one generator are packed into
-    a single wide integer (one fixed-width lane per candidate), making a
-    full divisor row one XOR.  Rows are built lazily, one per generator
-    actually dividing, and memoised.
-    """
+    """Per-window product tables: the window's generator set is closed under
+    the oracle product, so x -> a*x is F2-linear on bitmasks over the
+    generators.  The products of one generator with each generator are
+    built when a divisor first uses it."""
 
     def __init__(self, space: SearchSpace):
-        gens = space.generators()
-        self.gens = gens
-        n = len(gens)
-        self.index = {g: t for t, g in enumerate(gens)}
-        self.lane = ((n + 7) // 8) * 8 if n else 8
-        self.count = 1 << n
-        self._pair = [[0] * n for _ in range(n)]
-        for t, g in enumerate(gens):
-            ge = _element_from_gens([g])
-            for u, h in enumerate(gens):
-                prod = oracle_mul(ge, _element_from_gens([h]))
-                self._pair[t][u] = self._mask_of(prod)
-        self._rows: dict[int, int] = {}
+        self.gens = space.generators()
+        self.index = {g: t for t, g in enumerate(self.gens)}
+        self._products: dict[int, list[int]] = {}
 
-    def row(self, t: int) -> int:
-        cached = self._rows.get(t)
-        if cached is not None:
-            return cached
-        # the lanes of the candidates with bit u set are those without it,
-        # each XOR the product with generator u: one doubling step per bit
-        lane = self.lane
-        packed = 0
-        for u, v in enumerate(self._pair[t]):
-            width = lane << u
-            ones_per_lane = ((1 << width) - 1) // ((1 << lane) - 1)
-            packed |= (packed ^ v * ones_per_lane) << width
-        self._rows[t] = packed
-        return packed
+    def products(self, t: int) -> list[int]:
+        """The masks of generator t times each generator, in window order."""
+        if t not in self._products:
+            g = self.element_of(1 << t)
+            row = [oracle_mul(g, self.element_of(1 << u)) for u in range(len(self.gens))]
+            self._products[t] = list(map(self.mask, row))
+        return self._products[t]
 
-    def _mask_of(self, x: Element) -> int:
-        mask = 0
-        for g in element_gens(x):
-            mask |= 1 << self.index[g]
-        return mask
-
-    def try_mask(self, x: Element) -> Optional[int]:
-        try:
-            return self._mask_of(x)
-        except KeyError:
-            return None
+    def mask(self, x: Element) -> Optional[int]:
+        """The mask of x, or None when x has a component outside the window."""
+        bits = [self.index.get(g) for g in element_gens(x)]
+        return None if None in bits else sum(1 << t for t in bits)
 
     def element_of(self, mask: int) -> Element:
-        return _element_from_gens(
-            self.gens[t] for t in range(len(self.gens)) if mask >> t & 1
-        )
+        return _element_from_gens(self.gens[t] for t in ones(mask))
 
 
 @lru_cache(maxsize=8)
@@ -431,10 +401,51 @@ def _space_tables(space: SearchSpace) -> _SpaceTables:
     return _SpaceTables(space)
 
 
+def _affine_divide(
+    a: Element, b: Element, space: SearchSpace
+) -> Optional[tuple[int, list[int]]]:
+    """The mask of one x in the window with a*x = b and the masks of a basis
+    of the x with a*x = 0, or None when the window holds no solution.
+
+    Column u is the mask of a times generator u, and b is column n.  Each
+    column is reduced on its leading bit by the pivots before it, recording
+    the columns it combines; one that reduces to 0 is a kernel vector.  So
+    b has a solution exactly when the last kernel vector combines b.
+    """
+    tables = _space_tables(space)
+    a_mask = tables.mask(a)
+    if a_mask is None:
+        raise ValueError("divisor has a component outside the window")
+    b_mask = tables.mask(b)
+    if b_mask is None:
+        # products of window elements stay inside the window
+        return None
+    n = len(tables.gens)
+    columns = [0] * n
+    for t in ones(a_mask):
+        columns = [c ^ p for c, p in zip(columns, tables.products(t))]
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for u, v in enumerate([*columns, b_mask]):
+        combo = 1 << u
+        while (lead := v.bit_length() - 1) in pivots:
+            v ^= pivots[lead][0]
+            combo ^= pivots[lead][1]
+        if v:
+            pivots[lead] = v, combo
+        else:
+            kernel.append(combo)
+    if not kernel or not kernel[-1] >> n:
+        return None
+    return kernel.pop() ^ 1 << n, kernel
+
+
 def exhaustive_divide(
     a: Element, b: Element, space: SearchSpace
 ) -> frozenset[Element]:
-    """All x in the window with a*x = b, by brute force over every candidate.
+    """All x in the window with a*x = b: one solution plus each sum of kernel
+    vectors, by Gaussian elimination over F2.  Every solution is built, so
+    windows of more than 2**20 candidates are refused.
 
     Products come from the natural-number component formulas reduced mod 2
     (never the level shortcut); the divisor must live inside the window.
@@ -443,23 +454,11 @@ def exhaustive_divide(
         raise ValueError(
             f"search space of 2**{space.generator_count()} candidates is too large"
         )
-    tables = _space_tables(space)
-    a_mask = tables.try_mask(a)
-    if a_mask is None:
-        raise ValueError("divisor has a component outside the window")
-    b_mask = tables.try_mask(b)
-    if b_mask is None:
-        # products of window elements stay inside the window
+    solved = _affine_divide(a, b, space)
+    if solved is None:
         return frozenset()
-    acc = 0
-    for t in ones(a_mask):
-        acc ^= tables.row(t)
-    # one conversion to bytes, then one lane slice per candidate
-    width = tables.lane // 8
-    packed = acc.to_bytes(tables.count * width, "little")
-    want = b_mask.to_bytes(width, "little")
-    return frozenset(
-        tables.element_of(x_mask)
-        for x_mask in range(tables.count)
-        if packed[x_mask * width : (x_mask + 1) * width] == want
-    )
+    x, kernel = solved
+    masks = [x]
+    for z in kernel:  # one XOR per member
+        masks += [m ^ z for m in masks]
+    return frozenset(map(_space_tables(space).element_of, masks))

@@ -10,7 +10,7 @@ the byte offset of the offence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
@@ -61,7 +61,7 @@ class Pow:
     exponent: int
 
 
-Node = Union[Atom, Var, Zero, Add, Mul, Pow]
+Node = "Atom | Var | Zero | Add | Mul | Pow"
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,14 @@ from cyclechain.oracle import (
     oracle_mul,
     product,
     weak_components,
+    _affine_divide,
     _pair_cc,
     _pair_lc,
     _pair_ll,
+    _space_tables,
 )
 
-from cyclechain.lattice import divisor_lattice
+from cyclechain.lattice import divisor_lattice, ones
 
 from conftest import rand_element
 
@@ -199,6 +201,104 @@ class TestExhaustiveDivide:
             Element.from_cycles(C(3)), Element.from_cycles(C(7)), space
         )
         assert got == frozenset()
+
+
+def scan_divide(a, b, space):
+    """Every candidate of the window tested: the packed-lane scan that
+    ``exhaustive_divide`` ran before it solved by elimination.
+
+    Every product of a generator with a candidate is a bitmask over the
+    generators.  The 2**n masks for one generator are packed into a single
+    wide integer, one fixed-width lane per candidate, so a divisor's row is
+    one XOR of its generators' rows; one lane slice tests a candidate.
+    """
+    tables = _space_tables(space)
+    n = len(tables.gens)
+    a_mask, b_mask = tables.mask(a), tables.mask(b)
+    if a_mask is None:
+        raise ValueError("divisor has a component outside the window")
+    if b_mask is None:
+        return frozenset()
+    lane = ((n + 7) // 8) * 8 if n else 8
+    acc = 0
+    for t in ones(a_mask):
+        g = tables.element_of(1 << t)
+        # the lanes of the candidates with bit u set are those without it,
+        # each XOR the product with generator u: one doubling step per bit
+        packed = 0
+        for u in range(n):
+            v = tables.mask(oracle_mul(g, tables.element_of(1 << u)))
+            width = lane << u
+            ones_per_lane = ((1 << width) - 1) // ((1 << lane) - 1)
+            packed |= (packed ^ v * ones_per_lane) << width
+        acc ^= packed
+    width = lane // 8
+    packed = acc.to_bytes((1 << n) * width, "little")
+    want = b_mask.to_bytes(width, "little")
+    return frozenset(
+        tables.element_of(x_mask)
+        for x_mask in range(1 << n)
+        if packed[x_mask * width : (x_mask + 1) * width] == want
+    )
+
+
+def rank(vectors):
+    """The dimension over F2 of the span of these int bit vectors."""
+    basis = {}
+    for v in vectors:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+def random_mask(rng, n, density):
+    return sum(1 << t for t in range(n) if rng.random() < density)
+
+
+class TestElimination:
+    def test_equals_the_scan_on_random_windows(self, rng):
+        ks = [k for k in range(1, 400, 2) if len(divisor_lattice(k).elements) <= 8]
+        checked = 0
+        while checked < 40:
+            space = SearchSpace(k=rng.choice(ks), max_level=rng.randint(0, 2), max_chain=rng.randint(1, 8))
+            n = space.generator_count()
+            if not 10 <= n <= 20:
+                continue
+            tables = _space_tables(space)
+            a = tables.element_of(random_mask(rng, n, 0.25))
+            x = tables.element_of(random_mask(rng, n, 0.5))
+            # a multiple of a, then any element, likely outside a's image,
+            # then one with a component outside the window
+            for b in (oracle_mul(a, x), tables.element_of(random_mask(rng, n, 0.3)), Element(chains=L(9))):
+                assert exhaustive_divide(a, b, space) == scan_divide(a, b, space)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "space",
+        [SearchSpace(k=15015, max_level=2, max_chain=10), SearchSpace(k=1, max_chain=60)],
+        ids=["15015-levels-0-2-chains-10", "chains-60"],
+    )
+    def test_beyond_the_scan(self, rng, space):
+        tables = _space_tables(space)
+        n = len(tables.gens)
+        chains = [t for t, g in enumerate(tables.gens) if g[0] == "L"]
+        for _ in range(3):
+            a_mask = random_mask(rng, n, 8 / n)
+            if space.k == 1:
+                a_mask = sum(1 << t for t in chains if rng.random() < 0.3)
+            a = tables.element_of(a_mask)
+            x = random_mask(rng, n, 0.5)
+            b = oracle_mul(a, tables.element_of(x))
+            x0, kernel = _affine_divide(a, b, space)
+            assert oracle_mul(a, tables.element_of(x0)) == b
+            # independent, and as many as rank-nullity asks for
+            columns = [tables.mask(oracle_mul(a, tables.element_of(1 << u))) for u in range(n)]
+            assert rank(kernel) == len(kernel) == n - rank(columns)
+            assert rank([*kernel, x ^ x0]) == len(kernel)
+            for z in kernel:
+                assert oracle_mul(a, tables.element_of(z)) == Element.zero()
 
 
 def test_caches_are_bounded():

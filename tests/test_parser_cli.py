@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import cyclechain
 from cyclechain import cli
 from cyclechain.chains import ChainSum, Element
+from cyclechain.lattice import divisor_atom, divisor_atom_indices, divisor_lattice
 from cyclechain.cycles import CycleSum
 from cyclechain.parser import (
     MAX_DEPTH,
@@ -184,6 +186,27 @@ class TestCli:
         assert code == 0 and len(lines) == 12
         assert lines[0] == "T1 = C1 + C3 + C5 + C15"
         assert lines[-1] == "C45 = T45"
+
+    @pytest.mark.parametrize("ks", [range(1, 4002, 2), (765765, 15015, 18225, 999999)],
+                             ids=["odd-up-to-4001", "large"])
+    def test_atoms_match_the_lattice_atoms(self, capsys, ks):
+        # the command reads the atoms from the bit layout; divisor_atom and
+        # divisor_atom_indices build them on the divisor lattice
+        for k in ks:
+            divisors = divisor_lattice(k).elements
+            atoms = {j: sorted(divisor_atom(k, j).support()) for j in divisors}
+            expansions = {i: divisor_atom_indices(k, i) for i in divisors}
+            text = [f"T{j} = " + " + ".join(map("C{}".format, atom)) for j, atom in atoms.items()]
+            text += [f"C{i} = " + " + ".join(map("T{}".format, e)) for i, e in expansions.items()]
+            # cmd_atoms directly: building the argument parser 4000 times
+            # would take seconds
+            assert cli.cmd_atoms(argparse.Namespace(k=k, json=False)) == 0
+            assert capsys.readouterr().out == "\n".join(text) + "\n"
+            assert cli.cmd_atoms(argparse.Namespace(k=k, json=True)) == 0
+            assert capsys.readouterr().out == json.dumps({
+                "atoms": {str(j): atom for j, atom in atoms.items()},
+                "expansions": {str(i): list(e) for i, e in expansions.items()},
+            }) + "\n"
 
     def test_atoms_even_rejected(self, capsys):
         code, _ = run_cli(capsys, "atoms", "6")

@@ -11,6 +11,12 @@ differ between two runs of the same queries.
 The solvers of ``division`` and ``structure`` choose their coordinates in
 one place: only ``division.layout`` calls ``divisor_bits``.  A second
 call site would be a second policy on when a layout is worth building.
+
+No code that runs at import subscripts a ``typing`` form, as in
+``Coords = Union[A, B]``.  ``typing`` caches every such form for good, and
+through its classes the cache would keep each module of that import alive
+after the package is dropped and imported again.  Annotations do not run
+in a module that imports ``annotations`` from ``__future__``.
 """
 
 import ast
@@ -72,3 +78,59 @@ def test_the_layout_rule_sees_every_call_site():
         "bits = divisor_bits(5)\n"
     )
     assert divisor_bits_callers(source) == ["layout", "S", "<module>"]
+
+
+def typing_subscripts_at_import(source: str) -> list[int]:
+    """The lines where code that runs at import subscripts a name imported
+    from ``typing`` or an attribute of ``typing``: function bodies,
+    lambdas and, under ``from __future__ import annotations``, annotations
+    do not run."""
+    tree = ast.parse(source)
+    forms = set()
+    postponed = False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            forms.update(alias.asname or alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            postponed |= any(alias.name == "annotations" for alias in node.names)
+    idle = set()
+    for node in ast.walk(tree):
+        parts = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            parts = node.body + ([node.returns] if postponed else [])
+        elif isinstance(node, ast.Lambda):
+            parts = [node.body]
+        elif postponed and isinstance(node, (ast.arg, ast.AnnAssign)):
+            parts = [node.annotation]
+        for part in parts:
+            idle.update(map(id, ast.walk(part)) if part else ())
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and id(node) not in idle:
+            value = node.value
+            if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                typed = value.value.id == "typing"
+            else:
+                typed = isinstance(value, ast.Name) and value.id in forms
+            if typed:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_no_typing_form_built_at_import(path):
+    assert typing_subscripts_at_import(path.read_text()) == []
+
+
+def test_the_typing_rule_sees_only_code_that_runs():
+    head = "from __future__ import annotations\nimport typing\nfrom typing import Optional, Union as U\n"
+    source = head + (
+        "A = U[int, str]\n"
+        "class S:\n    b: Optional[int] = 0\n    c = typing.Callable[[], int]\n"
+        "    def f(self, x: Optional[int] = dict[int, str]) -> U[int, str]:\n        return Optional[x]\n"
+        "g = lambda: Optional[int]\n"
+        "h = tuple[int, ...]\n"
+        "def k(x=Optional[int]):\n    pass\n"
+    )
+    assert typing_subscripts_at_import(source) == [4, 7, 12]
+    assert typing_subscripts_at_import("from typing import Optional\ndef f(x: Optional[int]): pass\n") == [2]
