@@ -383,7 +383,9 @@ def _count(text: str, cap: Optional[int] = None) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: parsing keeps no state."""
     ap = argparse.ArgumentParser(
         prog="cyclechain",
         description="Exact arithmetic and division for sums of cycles and chains mod 2",

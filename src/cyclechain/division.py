@@ -18,7 +18,9 @@ own ``OddSet``, serves the moduli whose layout is not worth building.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
@@ -195,6 +197,17 @@ def decoded(bits: Coords, x) -> OddSet:
     return OddSet._make(frozenset(bits.decode(x)))
 
 
+def split(bits: Coords, X: dict) -> tuple:
+    """(a, M) for the level coordinates X of x = a + m: the level-0 one
+    and the OR of those of levels >= 1, the closure of m."""
+    return X.get(0, bits.zero), reduce(or_, (m for i, m in X.items() if i), bits.zero)
+
+
+def decoded_sum(bits: Coords, X: dict) -> CycleSum:
+    """The cycle sum with level coordinates X in ``bits``."""
+    return CycleSum._make({i: decoded(bits, m) for i, m in X.items() if m})
+
+
 def min_solution(sol: IntervalSolutionSet) -> CycleSum:
     """The solution made of lower endpoints: the canonical finite one."""
     if not sol.solvable:
@@ -334,14 +347,15 @@ def enumerate_restricted(
         return
     if k < 1 or k % 2 == 0:
         raise ValueError(f"odd k required, got {k}")
-    ka, _ = sol.a.stats()
-    kb, _ = sol.b.stats()
-    if k % lcm(ka, kb) != 0:
+    # a layout's k is lcm(ka, kb), and sol.n is the higher top level of a and b
+    kab = sol.bits.k or lcm(sol.a.stats()[0], sol.b.stats()[0])
+    if k % kab != 0:
+        ka, kb = sol.a.stats()[0], sol.b.stats()[0]
         raise ValueError(
             f"k={k} must be a multiple of lcm({ka}, {kb}); "
             "restriction would be unsound"
         )
-    if n < max(sol.a.max_level, sol.b.max_level):
+    if n < sol.n:
         raise ValueError("level bound below the inputs' own levels")
 
     for levels in lazy_product(level_factors(sol, window_bits(k), n)):

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import xor
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -510,6 +511,12 @@ def _prime_factors(k: int, max_steps: Optional[int] = None) -> Optional[dict[int
     With ``max_steps``, gives up and returns None once that many trial
     divisors have not finished the job.
     """
+    found = _trial_division(k, max_steps)
+    return found and found[0]
+
+
+def _trial_division(k: int, max_steps: Optional[int] = None) -> Optional[tuple[dict[int, int], int]]:
+    """``_prime_factors`` of k, with the number of trial divisors it took."""
     out: dict[int, int] = {}
     d = 3
     steps = 0
@@ -523,7 +530,7 @@ def _prime_factors(k: int, max_steps: Optional[int] = None) -> Optional[dict[int
         d += 2
     if k > 1:
         out[k] = out.get(k, 0) + 1
-    return out
+    return out, steps
 
 
 # Most divisors a DivisorBits layout takes: masks of at most 512 bytes.
@@ -547,10 +554,13 @@ class DivisorBits:
     The divisor lattice is a product of one chain per prime, so the zeta
     transform is a prefix XOR along each chain: one shift-XOR pass per
     prime and exponent step, O(d(k) * omega(k)) bit work in all.  The
-    mod-2 Moebius inverse runs the same passes in reverse order.
+    mod-2 Moebius inverse runs the same passes in reverse order.  The
+    transform is linear, so ``encode`` XORs the up-sets of the lengths;
+    the layout keeps the up-set of each divisor, made by the passes the
+    first time it is encoded, so it holds at most d(k) of them.
     """
 
-    __slots__ = ("k", "divisors", "index", "top", "_passes")
+    __slots__ = ("k", "divisors", "index", "top", "_passes", "_up")
     zero = 0
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
@@ -574,16 +584,11 @@ class DivisorBits:
         self.index: dict[int, int] = {d: t for t, d in enumerate(divisors)}
         self.top = (1 << n) - 1
         self._passes = tuple(passes)
+        self._up = _UpSets(self.index, self._passes)
 
     def encode(self, lengths: Iterable[int]) -> int:
         """Mask of the idempotent with these (distinct) lengths, all dividing k."""
-        index = self.index
-        x = 0
-        for q in lengths:
-            x |= 1 << index[q]
-        for shift, sel in self._passes:
-            x ^= (x & sel) << shift
-        return x
+        return reduce(xor, map(self._up.__getitem__, lengths), 0)
 
     def decode(self, x: int) -> list[int]:
         """Lengths of the idempotent with mask x."""
@@ -617,6 +622,22 @@ class DivisorBits:
         return submasks(lo, sorted(ones(hi & ~lo), key=self.divisors.__getitem__))
 
 
+class _UpSets(dict):
+    """The up-set mask of each divisor q of a layout, by q, made by the
+    zeta passes the first time q is asked for."""
+
+    def __init__(self, index: dict[int, int], passes: tuple[tuple[int, int], ...]):
+        self._index = index
+        self._passes = passes
+
+    def __missing__(self, q: int) -> int:
+        x = 1 << self._index[q]
+        for shift, sel in self._passes:
+            x ^= (x & sel) << shift
+        self[q] = x
+        return x
+
+
 def submasks(lo: int, positions: Iterable[int]) -> Iterator[int]:
     """lo with each subset of the bits at ``positions`` set, lazily.
 
@@ -648,15 +669,27 @@ def ones(x: int) -> Iterator[int]:
 def divisor_bits(k: int, max_steps: Optional[int] = None) -> Optional[DivisorBits]:
     """The bit layout of odd k, or None when it is not worth building.
 
-    None when factoring k takes more than ``max_steps`` trial divisions or
-    k has more than ``MAX_BIT_DIVISORS`` divisors.
+    None when factoring k takes more than ``max_steps`` (>= 0) trial
+    divisions or k has more than ``MAX_BIT_DIVISORS`` divisors.  The 64
+    most recently used layouts are kept by k with the trial divisions k
+    took, so a kept layout is refused as a first build would be.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"odd k required, got {k}")
-    factors = _prime_factors(k, max_steps)
-    if factors is None or math.prod(e + 1 for e in factors.values()) > MAX_BIT_DIVISORS:
-        return None
-    return _divisor_bits(tuple(sorted(factors.items())))
+    built = _LAYOUTS.pop(k, None)
+    if built is None:
+        found = _trial_division(k, max_steps)
+        if found is None or math.prod(e + 1 for e in found[0].values()) > MAX_BIT_DIVISORS:
+            return None
+        built = (found[1], DivisorBits(tuple(sorted(found[0].items()))))
+        if len(_LAYOUTS) == 64:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+    _LAYOUTS[k] = built
+    steps, bits = built
+    return None if max_steps is not None and steps > max_steps else bits
+
+
+_LAYOUTS: dict[int, tuple[int, DivisorBits]] = {}
 
 
 def window_bits(k: int) -> DivisorBits:
@@ -667,11 +700,6 @@ def window_bits(k: int) -> DivisorBits:
     if bits is None:
         raise ValueError(f"k={k} has more than {MAX_BIT_DIVISORS} divisors, too many to list")
     return bits
-
-
-@lru_cache(maxsize=64)
-def _divisor_bits(factors: tuple[tuple[int, int], ...]) -> DivisorBits:
-    return DivisorBits(factors)
 
 
 def divisor_atom(k: int, j: int) -> BoolElem:

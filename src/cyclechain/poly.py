@@ -5,6 +5,10 @@ function is determined by a cubic.  Cubics whose three leading
 coefficients have odd parts (0, 0, C1) are exactly the bijective ones and
 can be inverted in closed form; for any other cubic a colliding pair of
 inputs, and an unreachable target, are constructed and verified.
+
+Reachability and the degeneracy witness run on the level coordinates of
+one ``division.layout`` over the coefficients (and the target), where the
+product is ``&``, and decode only the values they return.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cycles import CycleSum, ODD_ONE, OddSet
+from . import division
+from .cycles import CycleSum, ODD_ONE
 
 
 @dataclass(frozen=True)
@@ -98,24 +103,39 @@ class DegenerateWitness:
     unreached_reason: str = ""
 
 
-def _collision_pair(p: CubicPoly) -> tuple[CycleSum, CycleSum]:
-    a0 = p.a.odd_part
-    c0 = p.c.odd_part
-    b0 = p.b.odd_part
-    c2 = CycleSum.single(2)
-    if (a0, c0) != (OddSet(), ODD_ONE):
+def _plus(zero, *xs: dict) -> dict:
+    """The sum of cycle sums held as level coordinates: ``^`` per level."""
+    out: dict = {}
+    for X in xs:
+        for i, m in X.items():
+            out[i] = out.get(i, zero) ^ m
+    return out
+
+
+def _value(zero, A: dict, C: dict, D: dict, lead: dict, X: dict) -> dict:
+    """The nonzero levels of p(x) for x = u + m, where x**2 = u and
+    x**3 = u + u*m give p(x) = (a + b + c)*u + (a0*u + c0)*m + d."""
+    u = X.get(0, zero)
+    mu = A.get(0, zero) & u ^ C.get(0, zero)
+    lead_u = {i: m & u for i, m in lead.items()}
+    value = _plus(zero, D, lead_u, {i: mu & m for i, m in X.items() if i})
+    return {i: m for i, m in value.items() if m}
+
+
+def _collision_pair(bits: division.Coords, A: dict, B: dict, C: dict, lead: dict) -> tuple[dict, dict]:
+    zero, top = bits.zero, bits.top
+    a0, b0, c0 = A.get(0, zero), B.get(0, zero), C.get(0, zero)
+    if (a0, c0) != (zero, top):
         # some x0 makes the even-part multiplier a0*x0 + c0 differ from C1,
         # and perturbing by that defect times C2 cannot change the value
-        for x0 in (OddSet(), ODD_ONE):
-            mu = a0 * x0 + c0
-            if mu != ODD_ONE:
-                x = x0.as_cycles()
-                return x, x + (mu + ODD_ONE).as_cycles() * c2
+        for x0 in (zero, top):
+            mu = a0 & x0 ^ c0
+            if mu != top:
+                return {0: x0}, {0: x0, 1: mu ^ top}
         raise AssertionError("unreachable: some choice above must differ from C1")
-    # here the even-part multiplier is identically C1 but b0 is nonzero
-    drift = (p.a + p.b + p.c).even_part
-    y = b0.as_cycles() + drift * b0.as_cycles()
-    return CycleSum.zero(), y
+    # here the even-part multiplier is identically C1 but b0 is nonzero:
+    # y = b0 + drift*b0, drift the even part of a + b + c
+    return {}, {i: m & b0 if i else b0 for i, m in _plus(zero, {0: zero}, lead).items()}
 
 
 def is_reachable(p: CubicPoly, s: CycleSum) -> bool:
@@ -142,45 +162,47 @@ def is_reachable(p: CubicPoly, s: CycleSum) -> bool:
 
     So a solution exists iff no atom lies in both: bad0 * bad1 = 0.  Then
     u = bad0 is one solution's odd part.  The first test, r0 <= e, is
-    implied by that product and is only a quick exit.
+    implied by that product and is only a quick exit.  The formulas run on
+    the level coordinates of ``division.layout(a, b, c, d, s)``.
     """
-    r = s + p.d
-    r0 = r.odd_part
-    lead = p.a + p.b + p.c
-    e = lead.odd_part
-    if e * r0 != r0:
+    bits, (A, B, C, D, S), _ = division.layout(p.a, p.b, p.c, p.d, s)
+    return _reachable(bits, A, C, _plus(bits.zero, A, B, C), _plus(bits.zero, S, D))
+
+
+def _reachable(bits: division.Coords, A: dict, C: dict, lead: dict, R: dict) -> bool:
+    """``is_reachable`` on the level coordinates of a, c, a + b + c and r = s + d."""
+    zero = bits.zero
+    r0, r_plus = division.split(bits, R)
+    e = lead.get(0, zero)
+    if r0 & ~e:
         return False
-    a0 = p.a.odd_part
-    c0 = p.c.odd_part
-    bad0 = r0 | (r.even_part.plus_closure * c0.complement())
-    bad1 = (e + r0) | ((r + lead).even_part.plus_closure * (a0 + c0).complement())
-    return not bad0 * bad1
+    _, shifted = division.split(bits, _plus(zero, R, lead))
+    bad0 = r0 | r_plus & ~C.get(0, zero)
+    bad1 = (e ^ r0) | shifted & ~(A.get(0, zero) ^ C.get(0, zero))
+    return not bad0 & bad1
 
 
-def _unreached_target(p: CubicPoly) -> tuple[Optional[CycleSum], str]:
-    e = (p.a + p.b + p.c).odd_part
-    c2 = CycleSum.single(2)
-    drift = (p.a + p.b + p.c).even_part
-    t1 = p.d + CycleSum.one() + c2 + drift
-    if e != ODD_ONE:
+def _unreached_target(bits: division.Coords, A: dict, C: dict, D: dict, lead: dict) -> tuple[dict, str]:
+    zero, top = bits.zero, bits.top
+    e = lead.get(0, zero)
+    # t1 = d + C1 + C2 + drift, with drift the even part of a + b + c
+    t1 = _plus(zero, D, {0: top, 1: top}, {i: m for i, m in lead.items() if i})
+    if e != top:
         return t1, (
             "level-0 equation needs the combined leading coefficient "
-            f"odd part to be C1, found {e}"
+            f"odd part to be C1, found {division.decoded(bits, e)}"
         )
-    c0 = p.c.odd_part
-    t2 = p.d + c2
-    if c0 != ODD_ONE:
-        return t2, (
+    c0 = C.get(0, zero)
+    if c0 != top:
+        return _plus(zero, D, {1: top}), (
             "forced level-0 value 0 leaves the even levels scaled by "
-            f"{c0}, which cannot produce C2"
+            f"{division.decoded(bits, c0)}, which cannot produce C2"
         )
-    a0 = p.a.odd_part
-    if a0:
-        return t1, (
-            "forced level-0 value C1 leaves the even levels scaled by "
-            f"{a0 + ODD_ONE}, which cannot produce C2"
-        )
-    return None, ""
+    # c0 = C1 and e = a0 + b0 + c0 = C1 give a0 = b0, nonzero as p is not bijective
+    return t1, (
+        "forced level-0 value C1 leaves the even levels scaled by "
+        f"{division.decoded(bits, A.get(0, zero) ^ top)}, which cannot produce C2"
+    )
 
 
 def degenerate_witness(p: CubicPoly) -> DegenerateWitness:
@@ -188,18 +210,20 @@ def degenerate_witness(p: CubicPoly) -> DegenerateWitness:
 
     The collision pair is always produced and verified by evaluation.  The
     unreachable target follows the closed-form case split and is verified
-    by the exact reachability test.
+    by the exact reachability test, both on the level coordinates of
+    ``division.layout(a, b, c, d)``.
     """
     if is_bijective(p):
         raise ValueError("polynomial is bijective; no degeneracy witness")
-    x, y = _collision_pair(p)
-    if x == y or eval_poly(p, x) != eval_poly(p, y):
-        raise RuntimeError(
-            f"internal error: constructed pair ({x}, {y}) is not a collision"
-        )
-    target, reason = _unreached_target(p)
-    if target is not None and is_reachable(p, target):
-        raise RuntimeError(
-            f"internal error: target {target} claimed unreachable but is hit"
-        )
-    return DegenerateWitness(collision=(x, y), unreached=target, unreached_reason=reason)
+    bits, (A, B, C, D), _ = division.layout(p.a, p.b, p.c, p.d)
+    zero = bits.zero
+    lead = _plus(zero, A, B, C)
+    X, Y = _collision_pair(bits, A, B, C, lead)
+    x, y = division.decoded_sum(bits, X), division.decoded_sum(bits, Y)
+    if x == y or _value(zero, A, C, D, lead, X) != _value(zero, A, C, D, lead, Y):
+        raise RuntimeError(f"internal error: constructed pair ({x}, {y}) is not a collision")
+    target, reason = _unreached_target(bits, A, C, D, lead)
+    unreached = division.decoded_sum(bits, target)
+    if _reachable(bits, A, C, lead, _plus(zero, target, D)):
+        raise RuntimeError(f"internal error: target {unreached} claimed unreachable but is hit")
+    return DegenerateWitness(collision=(x, y), unreached=unreached, unreached_reason=reason)

@@ -21,7 +21,8 @@ is refused.  Each has one body for both.  With a the level-0 coordinate
 and M the OR of those of levels >= 1, x is regular iff M & ~a = 0 and
 co-regular iff M & a = 0, its closure is a | M, and its co-regular
 representative maps each level m_i >= 1 to m_i & ~a.  Only returned
-values are decoded.
+values are decoded.  The solvers of ``division`` and ``poly.is_reachable``
+and ``poly.degenerate_witness`` run on the same coordinates.
 """
 
 from __future__ import annotations
@@ -69,23 +70,12 @@ def is_coregular(x: CycleSum) -> bool:
     return not _odd_times_even(x)
 
 
-def _split(bits: division.Coords, X: dict) -> tuple:
-    """(a, M) for the level coordinates X of x = a + m: the level-0 one
-    and the OR of those of levels >= 1."""
-    return X.get(0, bits.zero), reduce(or_, (m for i, m in X.items() if i), bits.zero)
-
-
-def _cycles(bits: division.Coords, X: dict) -> CycleSum:
-    """The cycle sum with level coordinates X."""
-    return CycleSum._make({i: division.decoded(bits, m) for i, m in X.items() if m})
-
-
 def classify(x: CycleSum) -> Classification:
     bits, (X,), _ = division.layout(x)
-    a, M = _split(bits, X)
+    a, M = division.split(bits, X)
     rep = x
     if M & a:
-        rep = _cycles(bits, {i: m & ~a if i else m for i, m in X.items()})
+        rep = division.decoded_sum(bits, {i: m & ~a if i else m for i, m in X.items()})
     return Classification(
         is_unit=is_unit(x),
         is_idempotent=x.is_idempotent,
@@ -111,8 +101,8 @@ def green(x: CycleSum, y: CycleSum, relation: str) -> bool:
         raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
     bits, (X, Y), _ = division.layout(x, y)
     zero = bits.zero
-    a, M = _split(bits, X)
-    b, N = _split(bits, Y)
+    a, M = division.split(bits, X)
+    b, N = division.split(bits, Y)
     if relation == "Rtilde":
         return a | M == b | N
     if relation == "Rstar":
@@ -156,24 +146,24 @@ def ideal_intersect(x: CycleSum, y: CycleSum) -> IdealMeetResult:
     """
     bits, (X, Y), _ = division.layout(x, y)
     zero = bits.zero
-    a, M = _split(bits, X)
-    b, N = _split(bits, Y)
+    a, M = division.split(bits, X)
+    b, N = division.split(bits, Y)
     levels = X.keys() | Y.keys()
     if not M & ~a or not N & ~b:
         product = {0: a & b}
         for i in levels - {0}:
             product[i] = a & Y.get(i, zero) ^ X.get(i, zero) & b
-        return _verified(x, y, _cycles(bits, product))
+        return _verified(x, y, division.decoded_sum(bits, product))
     alpha = {i: m & (b | N) for i, m in X.items()}
     beta = {i: m & (a | M) for i, m in Y.items()}
     if reduce(or_, alpha.values(), zero) != reduce(or_, beta.values(), zero):
-        pair = f"({_cycles(bits, alpha)}, {_cycles(bits, beta)})"
+        pair = f"({division.decoded_sum(bits, alpha)}, {division.decoded_sum(bits, beta)})"
         raise RuntimeError(f"internal error: reduced pair {pair} has unequal closures")
     a0, b0 = alpha.get(0, zero), beta.get(0, zero)
     if a0 & b0 or any(a0 & beta.get(i, zero) ^ alpha.get(i, zero) & b0 for i in levels if i):
         return IdealMeetResult(kind="unknown")
     s = reduce(or_, (alpha.get(i, zero) ^ beta.get(i, zero) for i in levels), zero)
-    return _verified(x, y, _cycles(bits, {i: m & ~s for i, m in alpha.items()}))
+    return _verified(x, y, division.decoded_sum(bits, {i: m & ~s for i, m in alpha.items()}))
 
 
 def _verified(x: CycleSum, y: CycleSum, g: CycleSum) -> IdealMeetResult:

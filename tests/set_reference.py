@@ -1,14 +1,17 @@
-"""The OddSet formulas of division and structure: the test reference.
+"""The OddSet formulas of division, structure and poly: the test reference.
 
 Each is the per-level formula of a solver written directly on ``OddSet``
 values and ``CycleSum`` products, independently of the coordinate
-interface that ``division`` and ``structure`` run on.  The differential
-tests compare the solvers with these, value for value, generators
-included.
+interface that ``division``, ``structure`` and ``poly`` run on.  The
+differential tests compare the solvers with these, value for value,
+generators, witnesses and reason texts included.
 """
 
-from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO
+from typing import Optional
+
+from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
 from cyclechain.division import ODD_COORDS, IntervalSolutionSet
+from cyclechain.poly import CubicPoly
 from cyclechain.structure import (
     Classification,
     IdealMeetResult,
@@ -108,3 +111,63 @@ def ideal_intersect_sets(x: CycleSum, y: CycleSum) -> IdealMeetResult:
         gamma = (CycleSum.one() + (alpha + beta).plus_closure.as_cycles()) * alpha
         return _verified(x, y, gamma)
     return IdealMeetResult(kind="unknown")
+
+
+def collision_pair_sets(p: CubicPoly) -> tuple[CycleSum, CycleSum]:
+    """The collision pair of ``poly.degenerate_witness``, by CycleSum products."""
+    a0 = p.a.odd_part
+    c0 = p.c.odd_part
+    b0 = p.b.odd_part
+    c2 = CycleSum.single(2)
+    if (a0, c0) != (OddSet(), ODD_ONE):
+        for x0 in (OddSet(), ODD_ONE):
+            mu = a0 * x0 + c0
+            if mu != ODD_ONE:
+                x = x0.as_cycles()
+                return x, x + (mu + ODD_ONE).as_cycles() * c2
+        raise AssertionError("unreachable: some choice above must differ from C1")
+    drift = (p.a + p.b + p.c).even_part
+    y = b0.as_cycles() + drift * b0.as_cycles()
+    return CycleSum.zero(), y
+
+
+def is_reachable_sets(p: CubicPoly, s: CycleSum) -> bool:
+    """``poly.is_reachable`` by OddSet products: bad0 * bad1 = 0."""
+    r = s + p.d
+    r0 = r.odd_part
+    lead = p.a + p.b + p.c
+    e = lead.odd_part
+    if e * r0 != r0:
+        return False
+    a0 = p.a.odd_part
+    c0 = p.c.odd_part
+    bad0 = r0 | (r.even_part.plus_closure * c0.complement())
+    bad1 = (e + r0) | ((r + lead).even_part.plus_closure * (a0 + c0).complement())
+    return not bad0 * bad1
+
+
+def unreached_target_sets(p: CubicPoly) -> tuple[Optional[CycleSum], str]:
+    """The unreached target of ``poly.degenerate_witness`` and its reason."""
+    e = (p.a + p.b + p.c).odd_part
+    c2 = CycleSum.single(2)
+    drift = (p.a + p.b + p.c).even_part
+    t1 = p.d + CycleSum.one() + c2 + drift
+    if e != ODD_ONE:
+        return t1, (
+            "level-0 equation needs the combined leading coefficient "
+            f"odd part to be C1, found {e}"
+        )
+    c0 = p.c.odd_part
+    t2 = p.d + c2
+    if c0 != ODD_ONE:
+        return t2, (
+            "forced level-0 value 0 leaves the even levels scaled by "
+            f"{c0}, which cannot produce C2"
+        )
+    a0 = p.a.odd_part
+    if a0:
+        return t1, (
+            "forced level-0 value C1 leaves the even levels scaled by "
+            f"{a0 + ODD_ONE}, which cannot produce C2"
+        )
+    return None, ""

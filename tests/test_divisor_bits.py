@@ -9,12 +9,13 @@ reference's.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclechain import division, oracle
+from cyclechain import division, lattice, oracle
 from cyclechain.chains import ChainSum, Element, divide_full
 from cyclechain.cycles import CycleSum, OddSet
 from cyclechain.division import ODD_COORDS
@@ -22,6 +23,7 @@ from cyclechain.lattice import (
     MAX_BIT_DIVISORS,
     DivisorBits,
     _prime_factors,
+    _trial_division,
     divisor_bits,
     divisor_count,
     divisors,
@@ -80,6 +82,60 @@ class TestDivisorHelpers:
 
     def test_layout_is_shared(self):
         assert divisor_bits(3465, 100) is divisor_bits(3465, 100)
+
+    def test_refusal_does_not_depend_on_what_was_built(self):
+        # a layout found again by k is refused exactly when an uncached
+        # factorisation under the same budget would be
+        def builds(k, steps):
+            factors = _prime_factors(k, steps)
+            return factors is not None and math.prod(e + 1 for e in factors.values()) <= MAX_BIT_DIVISORS
+
+        rng = random.Random(7)
+        wide = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+        ks = [3 * 999983, BIG_PRIME, 765765, 1, 3, 9, wide] + [rng.randrange(1, 10**7, 2) for _ in range(60)]
+        for k in ks:
+            lattice._LAYOUTS.pop(k, None)
+            found = _trial_division(k)
+            budgets = {0, 1, 2, found[1] - 1, found[1], found[1] + 1, rng.randrange(2000)}
+            budgets = sorted(steps for steps in budgets if steps >= 0) + [None]
+            for _ in ("before the layout of k is built", "after"):
+                for steps in budgets:
+                    assert (divisor_bits(k, steps) is not None) == builds(k, steps), (k, steps)
+                assert (k in lattice._LAYOUTS) == builds(k, None)
+        assert divisor_bits(3 * 999983, 16) is None
+        assert len(lattice._LAYOUTS) <= 64
+
+
+def pass_encode(bits, lengths):
+    """The zeta passes run on the indicator of the lengths: the encode that
+    the cached up-sets replace."""
+    x = 0
+    for q in lengths:
+        x |= 1 << bits.index[q]
+    for shift, sel in bits._passes:
+        x ^= (x & sel) << shift
+    return x
+
+
+class TestUpSetEncode:
+    # 1, 2, 6, 24, 96 and 4096 divisors; the last is the most a layout takes
+    TWELVE_PRIMES = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+
+    @pytest.mark.parametrize("k", [1, 3, 45, 3465, 765765, TWELVE_PRIMES])
+    def test_encode_equals_the_passes(self, k):
+        bits = layout(k)
+        divs = divisors(k)
+        assert bits.k == k and len(divs) <= MAX_BIT_DIVISORS and not bits._up
+        rng = random.Random(k)
+        for _ in range(200):
+            lengths = frozenset(rng.sample(divs, rng.randint(0, min(len(divs), 40))))
+            assert bits.encode(lengths) == pass_encode(bits, lengths)
+            assert len(bits._up) <= len(divs)
+        with pytest.raises(KeyError):
+            bits.encode([2 * k + 1 if k > 1 else 3])
+        for q in divs:
+            assert bits.encode([q]) == pass_encode(bits, [q])
+        assert len(bits._up) == len(divs)
 
 
 class TestLayoutAlgebra:

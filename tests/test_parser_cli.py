@@ -119,6 +119,16 @@ class TestCli:
         assert code == 0
         assert json.loads(out) == {"cycles": [3], "chains": [2]}
 
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_calls_share_no_state(self, capsys):
+        # one parser serves both calls; the second must not keep --json
+        assert cli.main(["eval", "C3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"cycles": [3], "chains": []}
+        assert cli.main(["eval", "C3"]) == 0
+        assert capsys.readouterr().out == "C3\n"
+
     def test_divide_solvable(self, capsys):
         code, out = run_cli(capsys, "divide", "C3", "C15")
         assert code == 0
@@ -198,8 +208,7 @@ class TestCli:
             expansions = {i: divisor_atom_indices(k, i) for i in divisors}
             text = [f"T{j} = " + " + ".join(map("C{}".format, atom)) for j, atom in atoms.items()]
             text += [f"C{i} = " + " + ".join(map("T{}".format, e)) for i, e in expansions.items()]
-            # cmd_atoms directly: building the argument parser 4000 times
-            # would take seconds
+            # cmd_atoms directly, on the Namespace that parsing would give
             assert cli.cmd_atoms(argparse.Namespace(k=k, json=False)) == 0
             assert capsys.readouterr().out == "\n".join(text) + "\n"
             assert cli.cmd_atoms(argparse.Namespace(k=k, json=True)) == 0

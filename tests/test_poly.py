@@ -1,8 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
-from cyclechain import oracle
+from cyclechain import division, oracle
 from cyclechain.chains import Element
-from cyclechain.cycles import CycleSum
+from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO
+from cyclechain.division import ODD_COORDS
+from cyclechain.lattice import DivisorBits, divisors
 from cyclechain.poly import (
     CubicPoly,
     degenerate_witness,
@@ -14,6 +19,8 @@ from cyclechain.poly import (
 )
 
 from conftest import rand_cycles
+from set_reference import collision_pair_sets, is_reachable_sets, unreached_target_sets
+from test_lazy_enumeration import ref_is_reachable, scan_is_reachable
 
 C = CycleSum.single
 Z = CycleSum.zero()
@@ -211,3 +218,65 @@ class TestReachability:
             image = {eval_poly(p, x) for x in window}
             for s in rng.sample(window, 40):
                 assert is_reachable(p, s) == (s in image), (p, str(s))
+
+
+def rand_branch_cubic(rng, parts):
+    """A random cubic over odd parts ``parts``, shaped to reach every branch
+    of the witness: the combined odd part e of a + b + c left random, or
+    forced to C1 (the second reason), with a0 = b0 (the third), or with
+    (a0, c0) = (0, C1) (the second collision pair, or a bijective cubic)."""
+    a, b, c, d = (rand_cycles(rng, parts, 3, rng.choice((1, 3, 6))) for _ in range(4))
+    shape = rng.randrange(4)
+    if shape == 1:
+        c = c.even_part + (a.odd_part + b.odd_part + ODD_ONE).as_cycles()
+    elif shape == 2:
+        b = b.even_part + a.odd_part.as_cycles()
+        c = c.even_part + ONE
+    elif shape == 3:
+        a, c = a.even_part, c.even_part + ONE
+    return CubicPoly(a=a, b=b, c=c, d=d)
+
+
+class TestCoordinatesEqualTheSetReference:
+    """``is_reachable`` and ``degenerate_witness`` run on the level
+    coordinates of one ``division.layout``.  The OddSet bodies of
+    ``set_reference`` are their reference, value for value, reason texts
+    included; on small moduli the scans of ``test_lazy_enumeration`` are a
+    second one.  Each cubic runs in masks and, with every layout refused,
+    in ``ODD_COORDS``."""
+
+    MODULI = (15, 45, 243, 3465, 765765)
+    SCANNED = (15, 45, 243)  # at most 6 free atoms: scans of 64 members
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["DivisorBits", "ODD_COORDS"])
+    def test_answers_equal_the_reference(self, refused, monkeypatch):
+        if refused:
+            monkeypatch.setattr(division, "divisor_bits", lambda k, max_steps=None: None)
+        rng = random.Random(0x5EED)
+        seen = Counter()
+        for t in range(600):
+            k = self.MODULI[t % len(self.MODULI)]
+            parts = divisors(k)
+            p = rand_branch_cubic(rng, parts)
+            bits = division.layout(*p.coefficients())[0]
+            assert bits is ODD_COORDS or not refused
+            seen["masks"] += isinstance(bits, DivisorBits)
+            targets = [rand_cycles(rng, parts, 3, 4), eval_poly(p, rand_cycles(rng, parts, 3, 4))]
+            if not is_bijective(p):
+                w = degenerate_witness(p)
+                assert w.collision == collision_pair_sets(p)
+                assert (w.unreached, w.unreached_reason) == unreached_target_sets(p)
+                targets.append(w.unreached)
+                seen[w.unreached_reason[:24]] += 1
+                drift_pair = (p.a.odd_part, p.c.odd_part) == (ODD_ZERO, ODD_ONE)
+                seen["drift pair" if drift_pair else "odd-part pair"] += 1
+            for s in targets:
+                got = is_reachable(p, s)
+                assert got == is_reachable_sets(p, s), (str(p), str(s))
+                if k in self.SCANNED:
+                    assert got == ref_is_reachable(p, s) == scan_is_reachable(p, s), (str(p), str(s))
+                seen[got] += 1
+        # a small budget refuses some layouts over 3465 even unpatched
+        masks = seen.pop("masks")
+        assert masks == 0 if refused else masks >= 500, seen
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
