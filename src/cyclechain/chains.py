@@ -28,6 +28,7 @@ from .division import (
 )
 from .formal import FormalSum, ProductRule
 from .lattice import DivisorBits, ones, submasks, window_bits
+from .poly import fold_exponent
 
 
 class ChainSum:
@@ -182,10 +183,11 @@ class Element:
         return Element(chains, self.cycles * other.cycles)
 
     def __pow__(self, n: int) -> "Element":
+        """x**n in at most three products, as x**4 = x**2 with chains too."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         out = Element.one()
-        for _ in range(n):
+        for _ in range(fold_exponent(n)):
             out = out * self
         return out
 

@@ -288,19 +288,16 @@ def cmd_poly_solve(args) -> int:
         return 0
     w = poly.degenerate_witness(p)
     if args.json:
-        payload: dict = {
+        print(json.dumps({
             "bijective": False,
             "collision": [cyclesum_json(w.collision[0]), cyclesum_json(w.collision[1])],
-        }
-        if w.unreached is not None:
-            payload["unreached_target"] = cyclesum_json(w.unreached)
-            payload["unreached_reason"] = w.unreached_reason
-        print(json.dumps(payload))
+            "unreached_target": cyclesum_json(w.unreached),
+            "unreached_reason": w.unreached_reason,
+        }))
     else:
         print("not bijective")
         print(f"collision: {w.collision[0]}  and  {w.collision[1]}")
-        if w.unreached is not None:
-            print(f"unreached target: {w.unreached}  ({w.unreached_reason})")
+        print(f"unreached target: {w.unreached}  ({w.unreached_reason})")
     return 1
 
 

@@ -2,9 +2,11 @@
 
 ``FiniteLattice`` stores an explicit meet table plus derived order data
 (top, bottom, covers, a descending linear extension).  ``BoolElem`` is a
-subset of the ground set held as a bitmask; its product is the mod-2
-meet-convolution, which makes the set of subsets a Boolean algebra whose
-atoms are computed by ``atom_for`` via an even-up-set recursion.
+formal sum mod 2 over the ground set; under the mod-2 meet-convolution
+product these sums form a Boolean algebra.  A ``BoolElem`` is held in atom
+coordinates: bit l is the parity of the support's elements >= l, the mod-2
+zeta transform (Rota 1964).  There the product is ``&``, the atom at l is
+bit l alone, and the support is decoded by Moebius inversion when read.
 
 The divisor lattice of an odd k (divisors ordered by reverse divisibility,
 meet = lcm) is the instance the cycle arithmetic cares about; its atoms
@@ -39,7 +41,9 @@ class FiniteLattice:
 
     The constructor validates closure, idempotency, commutativity,
     associativity and the top/bottom laws (O(n^3) in the ground size).
-    Instances are immutable after construction and safe to share.
+    The order is kept as up-set and down-set masks, which ``_zeta`` and
+    ``_moebius`` read.  Instances are immutable after construction and
+    safe to share.
     """
 
     def __init__(
@@ -114,6 +118,7 @@ class FiniteLattice:
         up = [sum(compress(bits, map(i.__eq__, row))) for i, row in enumerate(m)]
         down = [sum(compress(bits, map(int.__eq__, row, range(n)))) for row in m]
         self._up = up
+        self._down = down
 
         full = (1 << n) - 1
         tops = [j for j in range(n) if down[j] == full]
@@ -137,7 +142,23 @@ class FiniteLattice:
             for k in ones(below):
                 deeper |= strict[k]
             self._covers_below.append(tuple(ones(below & ~deeper)))
-        self._atom_masks: dict[int, int] = {}
+
+    def _zeta(self, support: Iterable[int]) -> int:
+        """Atom mask of the sum supported at these distinct indices: bit l
+        is the parity of the support's elements >= l, the XOR of their
+        down-sets."""
+        return reduce(xor, map(self._down.__getitem__, support), 0)
+
+    def _moebius(self, mask: int) -> int:
+        """Support mask of the sum with this atom mask, from the top down:
+        l is in the support when bit l differs from the parity of the
+        support already found above l."""
+        up = self._up
+        support = 0
+        for i in self._toporder:
+            if (mask >> i ^ (support & up[i]).bit_count()) & 1:
+                support |= 1 << i
+        return support
 
     # -- basic structure -------------------------------------------------
 
@@ -259,34 +280,46 @@ def divisor_count(k: int) -> int:
 
 
 class BoolElem:
-    """A subset of a lattice's ground set, an element of its sum algebra."""
+    """A formal sum mod 2 over a lattice's ground set, an element of its
+    sum algebra, held in atom coordinates.
 
-    __slots__ = ("lattice", "bits")
+    Bit l of ``mask`` is the parity of the support's elements >= l.  So
+    the meet-convolution product is ``&``, the sum ``^``, the join ``|``,
+    the complement XOR with the full mask and ``<=`` a subset test.
+    ``bits``, the support mask, is decoded when read.
+    """
+
+    __slots__ = ("lattice", "mask")
 
     def __init__(self, lattice: FiniteLattice, support: Iterable[Hashable] = ()):
         self.lattice = lattice
-        bits = 0
-        for e in support:
-            bits |= 1 << lattice.index[e]
-        self.bits = bits
+        self.mask = lattice._zeta({lattice.index[e] for e in support})
 
     @classmethod
     def _from_bits(cls, lattice: FiniteLattice, bits: int) -> "BoolElem":
+        return cls._from_mask(lattice, lattice._zeta(ones(bits)))
+
+    @classmethod
+    def _from_mask(cls, lattice: FiniteLattice, mask: int) -> "BoolElem":
         out = cls.__new__(cls)
         out.lattice = lattice
-        out.bits = bits
+        out.mask = mask
         return out
+
+    @property
+    def bits(self) -> int:
+        """The support mask: bit i is set when ``elements[i]`` is in the sum."""
+        return self.lattice._moebius(self.mask)
 
     def _check(self, other: "BoolElem") -> None:
         if self.lattice != other.lattice:
             raise ValueError("operands belong to different lattices")
 
     def support(self) -> tuple:
-        els = self.lattice.elements
-        return tuple(els[i] for i in range(len(els)) if self.bits >> i & 1)
+        return tuple(map(self.lattice.elements.__getitem__, ones(self.bits)))
 
     def __bool__(self) -> bool:
-        return self.bits != 0
+        return self.mask != 0
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -294,48 +327,38 @@ class BoolElem:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BoolElem)
-            and self.bits == other.bits
+            and self.mask == other.mask
             and self.lattice == other.lattice
         )
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.bits))
+        return hash((self.lattice, self.mask))
 
     def __add__(self, other: "BoolElem") -> "BoolElem":
         self._check(other)
-        return BoolElem._from_bits(self.lattice, self.bits ^ other.bits)
+        return BoolElem._from_mask(self.lattice, self.mask ^ other.mask)
 
     def __mul__(self, other: "BoolElem") -> "BoolElem":
         """Meet-convolution mod 2."""
         self._check(other)
-        meet = self.lattice._meet
-        out = 0
-        a = self.bits
-        while a:
-            i = (a & -a).bit_length() - 1
-            a &= a - 1
-            row = meet[i]
-            b = other.bits
-            while b:
-                j = (b & -b).bit_length() - 1
-                b &= b - 1
-                out ^= 1 << row[j]
-        return BoolElem._from_bits(self.lattice, out)
+        return BoolElem._from_mask(self.lattice, self.mask & other.mask)
 
     def __or__(self, other: "BoolElem") -> "BoolElem":
-        return self + other + self * other
+        self._check(other)
+        return BoolElem._from_mask(self.lattice, self.mask | other.mask)
 
     def complement(self) -> "BoolElem":
-        return self + unit_vector(self.lattice, self.lattice.top)
+        return BoolElem._from_mask(self.lattice, self.mask ^ (1 << len(self.lattice)) - 1)
 
     def __le__(self, other: "BoolElem") -> bool:
-        return self * other == self
+        self._check(other)
+        return not self.mask & ~other.mask
 
     def __ge__(self, other: "BoolElem") -> bool:
-        return other * self == other
+        return other <= self
 
     def __str__(self) -> str:
-        if not self.bits:
+        if not self.mask:
             return "0"
         return " + ".join(str(e) for e in self.support())
 
@@ -344,31 +367,16 @@ class BoolElem:
 
 
 def unit_vector(lat: FiniteLattice, l: Hashable) -> BoolElem:
-    return BoolElem._from_bits(lat, 1 << lat.index[l])
-
-
-def _atom_mask(lat: FiniteLattice, li: int) -> int:
-    cached = lat._atom_masks.get(li)
-    if cached is not None:
-        return cached
-    up = lat._up
-    # walk the down-set of l in descending order; an element joins the
-    # atom exactly when it sees an odd number of chosen elements above it
-    mask = 0
-    for i in lat._toporder:
-        if up[i] >> li & 1 and (i == li or (mask & up[i]).bit_count() & 1):
-            mask |= 1 << i
-    lat._atom_masks[li] = mask
-    return mask
+    return BoolElem._from_mask(lat, lat._down[lat.index[l]])
 
 
 def atom_for(lat: FiniteLattice, l: Hashable) -> BoolElem:
     """The unique atom of the sum algebra whose support joins to l.
 
     It contains l, and below l every strict predecessor is covered an even
-    number of times; computed by one pass over a descending order.
+    number of times; in atom coordinates it is bit l alone.
     """
-    return BoolElem._from_bits(lat, _atom_mask(lat, lat.index[l]))
+    return BoolElem._from_mask(lat, 1 << lat.index[l])
 
 
 def atoms(lat: FiniteLattice) -> tuple[BoolElem, ...]:
@@ -378,20 +386,15 @@ def atoms(lat: FiniteLattice) -> tuple[BoolElem, ...]:
 
 def atoms_below(x: BoolElem) -> frozenset:
     """Lattice elements l with atom_for(l) <= x."""
-    lat = x.lattice
-    out = []
-    for l in lat.elements:
-        a = atom_for(lat, l)
-        if x * a == a:
-            out.append(l)
-    return frozenset(out)
+    return frozenset(map(x.lattice.elements.__getitem__, ones(x.mask)))
 
 
 def from_atoms(lat: FiniteLattice, ls: Iterable[Hashable]) -> BoolElem:
-    bits = 0
+    """The sum of the atoms at ls; an element listed twice cancels."""
+    mask = 0
     for l in ls:
-        bits ^= _atom_mask(lat, lat.index[l])
-    return BoolElem._from_bits(lat, bits)
+        mask ^= 1 << lat.index[l]
+    return BoolElem._from_mask(lat, mask)
 
 
 def norm(x: BoolElem, l: Hashable) -> int:
@@ -399,8 +402,7 @@ def norm(x: BoolElem, l: Hashable) -> int:
 
     At the lattice bottom this is the parity of the support size of x.
     """
-    a = atom_for(x.lattice, l)
-    return 1 if x * a == a else 0
+    return x.mask >> x.lattice.index[l] & 1
 
 
 @dataclass(frozen=True)
@@ -424,19 +426,16 @@ class Interval:
     def __len__(self) -> int:
         if self.is_empty:
             return 0
-        free = atoms_below(self.hi) - atoms_below(self.lo)
-        return 1 << len(free)
+        return 1 << (self.hi.mask & ~self.lo.mask).bit_count()
 
     def members(self) -> Iterator[BoolElem]:
-        """All members, lexicographically by atom choice."""
+        """All members, lexicographically by atom choice: bit t of the
+        choice adds the free atom of the t-th smallest element index."""
         if self.is_empty:
             return
         lat = self.lo.lattice
-        base = atoms_below(self.lo)
-        free = sorted(atoms_below(self.hi) - base, key=lat.index.__getitem__)
-        base_elem = from_atoms(lat, base)
-        for choice in submasks(0, range(len(free))):
-            yield base_elem + from_atoms(lat, [free[t] for t in ones(choice)])
+        for mask in submasks(self.lo.mask, ones(self.hi.mask & ~self.lo.mask)):
+            yield BoolElem._from_mask(lat, mask)
 
 
 def interval_parity_split(iv: Interval, l: Hashable) -> tuple[Interval, Interval]:
@@ -448,9 +447,7 @@ def interval_parity_split(iv: Interval, l: Hashable) -> tuple[Interval, Interval
     if iv.is_empty:
         raise ValueError("cannot split an empty interval")
     a = atom_for(iv.lo.lattice, l)
-    inside = Interval(iv.lo, iv.hi + iv.hi * a)
-    outside = Interval(iv.lo + a + iv.lo * a, iv.hi)
-    return inside, outside
+    return Interval(iv.lo, iv.hi * a.complement()), Interval(iv.lo | a, iv.hi)
 
 
 @dataclass(frozen=True)
@@ -480,7 +477,7 @@ def semilattice_algebra(
     """Build the sum algebra of a finite meet-semilattice.
 
     The input must be meet-closed with a least element; a fresh top is
-    adjoined to make it a lattice before the atom construction runs.
+    adjoined to make it a lattice.
     """
     elems = tuple(elements)
     seen = set(elems)

@@ -223,7 +223,7 @@ def eval_element(node: Node) -> Element:
             out = out * eval_element(part)
         return out
     if isinstance(node, Pow):
-        return eval_element(node.base) ** fold_exponent(node.exponent)
+        return eval_element(node.base) ** node.exponent
     raise TypeError(f"unknown node {node!r}")
 
 

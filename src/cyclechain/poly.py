@@ -14,7 +14,7 @@ product is ``&``, and decode only the values they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import division
 from .cycles import CycleSum, ODD_ONE
@@ -99,7 +99,7 @@ class DegenerateWitness:
     """
 
     collision: tuple[CycleSum, CycleSum]
-    unreached: Optional[CycleSum]
+    unreached: CycleSum
     unreached_reason: str = ""
 
 

@@ -313,6 +313,38 @@ def test_element_ring_laws(x, y, z):
     assert x * Element.zero() == Element.zero()
 
 
+class TestElementPowers:
+    def test_powers_equal_repeated_products(self, rng):
+        # x^4 = x^2 holds with chains too: the folded power equals the
+        # plain product loop
+        for _ in range(300):
+            x = rand_element(rng, chain_terms=3)
+            power = Element.one()
+            for n in range(12):
+                assert x ** n == power, (str(x), n)
+                power = power * x
+
+    def test_huge_exponent_takes_few_products(self, monkeypatch):
+        calls = []
+        mul = Element.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            if len(calls) > 10:
+                raise AssertionError("the exponent was not folded")
+            return mul(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counted)
+        x = Element(ChainSum([3, 4]), C(3) + C(6))
+        power = x ** 10**18
+        assert len(calls) <= 3
+        assert power == mul(x, x)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Element.one() ** -1
+
+
 @settings(max_examples=150)
 @given(elements, elements)
 def test_pure_cycle_membership_agrees_across_modules(x, y):

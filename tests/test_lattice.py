@@ -114,8 +114,10 @@ class TestAlgebraOps:
         assert new.lattice is not old.lattice and new.lattice == old.lattice
         assert new == old and hash(new) == hash(old)
         assert not old + new
-        assert old * new == old
+        assert old * new == old and old | new == old
+        assert old <= new and new >= old and old.complement() == new.complement()
         assert old in Interval(new, new)
+        assert list(Interval(old, new).members()) == [new]
 
     def test_lattices_with_one_ground_set_and_two_meets_differ(self):
         up, down = FiniteLattice((0, 1, 2), min), FiniteLattice((0, 1, 2), max)

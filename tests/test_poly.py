@@ -151,7 +151,7 @@ class TestDegenerateWitness:
     def test_square(self):
         w = degenerate_witness(cubic(b=ONE))
         assert w.collision == (Z, C(2))
-        assert w.unreached is not None
+        assert isinstance(w.unreached, CycleSum)
 
     def test_odd_scaling(self):
         w = degenerate_witness(cubic(c=C(3)))
@@ -176,8 +176,9 @@ class TestDegenerateWitness:
             x, y = w.collision
             assert x != y
             assert eval_poly(p, x) == eval_poly(p, y)
-            if w.unreached is not None:
-                assert not is_reachable(p, w.unreached)
+            # every degenerate cubic has a target, with its reason
+            assert isinstance(w.unreached, CycleSum) and w.unreached_reason
+            assert not is_reachable(p, w.unreached)
 
 
 class TestReachability:
