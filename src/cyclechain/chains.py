@@ -3,10 +3,11 @@
 Chains of different length parity annihilate each other, so chain sums
 split into an even and an odd class.  Within a class the products are
 idempotent (min of lengths) and diagonalise in the orthogonal basis
-Z_base = L_base, Z_i = L_i + L_{i-2}; intervals of solutions live in the
-finite Boolean algebra of Z-coordinates up to a height cutoff, with levels
-above the cutoff either free or forced empty depending on the parity of
-the cycle part of the divisor.
+Z_base = L_base, Z_i = L_i + L_{i-2}: the product is Z_a & Z_b, computed
+by one sweep down the lengths.  Intervals of solutions live in the finite
+Boolean algebra of Z-coordinates up to a height cutoff, held as Z masks,
+with levels above the cutoff either free or forced empty depending on
+the parity of the cycle part of the divisor.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ class ChainSum:
                 raise ValueError(f"chain length must be >= 1, got {d}")
         self.lengths: frozenset[int] = ls
 
+    @classmethod
+    def _make(cls, lengths: frozenset[int]) -> "ChainSum":
+        """Wrap lengths already known to be positive, unchecked."""
+        out = cls.__new__(cls)
+        out.lengths = lengths
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.lengths)
 
@@ -53,24 +61,29 @@ class ChainSum:
         return hash(("ChainSum", self.lengths))
 
     def __add__(self, other: "ChainSum") -> "ChainSum":
-        return ChainSum(self.lengths ^ other.lengths)
+        return ChainSum._make(self.lengths ^ other.lengths)
 
     def __mul__(self, other: "ChainSum") -> "ChainSum":
-        acc: set[int] = set()
-        for e in self.lengths:
-            for d in other.lengths:
-                if (e ^ d) & 1 == 0:
-                    acc ^= {min(e, d)}
-        return ChainSum(acc)
-
-    @property
-    def height(self) -> int:
-        """Largest chain length present; 0 for the empty sum."""
-        return max(self.lengths, default=0)
+        # Z_a & Z_b per parity class, swept down the lengths: bit e of za
+        # and zb is Z_d of the class-e chains of self and other, and d is
+        # in the product where the AND of the two changes
+        a, b = self.lengths, other.lengths
+        if not (a and b):
+            return CHAIN_ZERO
+        acc = []
+        za = zb = z = 0
+        for d in sorted(a | b, reverse=True):
+            bit = 1 << (d & 1)
+            za ^= bit if d in a else 0
+            zb ^= bit if d in b else 0
+            if za & zb != z:
+                z = za & zb
+                acc.append(d)
+        return ChainSum._make(frozenset(acc))
 
     def parity_part(self, eps: int) -> "ChainSum":
         """The chains of length parity eps (0 even, 1 odd)."""
-        return ChainSum(d for d in self.lengths if d & 1 == eps)
+        return ChainSum._make(frozenset(d for d in self.lengths if d & 1 == eps))
 
     def is_pure(self, eps: int) -> bool:
         return all(d & 1 == eps for d in self.lengths)
@@ -103,9 +116,9 @@ def mul_chain_cycle(e: int, d: int) -> ChainSum:
     return ChainSum([e]) if d & 1 else CHAIN_ZERO
 
 
-def _run(n: int, base: int) -> int:
-    """The mask of the n coordinates base, base + 2, ..., base + 2(n - 1)."""
-    return ((1 << 2 * n) - 1) // 3 << base
+def _run(top: int, base: int) -> int:
+    """The mask of the coordinates base, base + 2, ... up to top."""
+    return ((1 << (top - base) // 2 * 2 + 2) - 1) // 3 << base
 
 
 def to_orthogonal(a: ChainSum, eps: int) -> int:
@@ -116,7 +129,7 @@ def to_orthogonal(a: ChainSum, eps: int) -> int:
     base = 2 - eps
     z = 0
     for d in a.lengths:
-        z ^= _run((d - base) // 2 + 1, base)
+        z ^= _run(d, base)
     return z
 
 
@@ -124,10 +137,10 @@ def from_orthogonal(z: int, eps: int) -> ChainSum:
     """Inverse of ``to_orthogonal``: chain length j appears iff exactly one
     of the coordinates j, j + 2 is set."""
     base = 2 - (eps & 1)
-    bad = z & ~_run(z.bit_length() // 2 + 1, base)
+    bad = z & ~_run(z.bit_length(), base)
     if bad:
         raise ValueError(f"coordinate {(bad & -bad).bit_length() - 1} does not have parity {eps}")
-    return ChainSum(ones((z ^ z >> 2) >> base << base))
+    return ChainSum._make(frozenset(ones((z ^ z >> 2) >> base << base)))
 
 
 class Element:
@@ -212,40 +225,42 @@ def odd_cycle_parity(x: CycleSum) -> int:
 class ChainDivision:
     """Solutions of a*x = c within one chain parity class.
 
-    kind "all" means every pure chain sum of the class solves; "empty"
-    means none does; "interval" means the truncation of x at the cutoff
-    ranges over [lo, hi] in the cutoff algebra, with the coordinates above
-    the cutoff free when ``free_tail`` and forced zero otherwise.
+    kind "interval" means the Z-coordinates of x up to the cutoff range
+    over the masks [zlo, zhi], with the coordinates above the cutoff free
+    when ``free_tail`` and forced zero otherwise; "all" is the interval
+    [0, 0] at cutoff 0 with a free tail, so every pure chain sum of the
+    class solves; "empty" means none does.
     """
 
     parity: int
     cutoff: int
     kind: str  # "all" | "empty" | "interval"
-    lo: Optional[ChainSum] = None
-    hi: Optional[ChainSum] = None
+    zlo: int = 0
+    zhi: int = 0
     free_tail: bool = True
 
     @property
     def nonempty(self) -> bool:
         return self.kind != "empty"
 
-    def _bounds(self) -> tuple[int, int]:
-        """The Z-coordinate masks of lo and hi."""
-        return to_orthogonal(self.lo, self.parity), to_orthogonal(self.hi, self.parity)
+    @property
+    def lo(self) -> Optional[ChainSum]:
+        """The lower bound as a chain sum; None unless an interval."""
+        return from_orthogonal(self.zlo, self.parity) if self.kind == "interval" else None
+
+    @property
+    def hi(self) -> Optional[ChainSum]:
+        """The upper bound as a chain sum; None unless an interval."""
+        return from_orthogonal(self.zhi, self.parity) if self.kind == "interval" else None
 
     def contains(self, x: ChainSum) -> bool:
-        if not x.is_pure(self.parity):
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "empty":
+        if self.kind == "empty" or not x.is_pure(self.parity):
             return False
         zx = to_orthogonal(x, self.parity)
         head = zx & ((2 << self.cutoff) - 1)
         if not self.free_tail and head != zx:
             return False
-        zlo, zhi = self._bounds()
-        return not (zlo & ~head or head & ~zhi)
+        return not (self.zlo & ~head or head & ~self.zhi)
 
     def members(self, max_height: int) -> Iterator[ChainSum]:
         """All solutions of height at most max_height >= 0, deterministically.
@@ -259,27 +274,16 @@ class ChainDivision:
             raise ValueError(f"max_height must be >= 0, got {max_height}")
         if self.kind == "empty":
             return
-        base = 2 - self.parity
-        lo = free = 0
-        first = base
-        if self.kind == "interval":
-            lo, hi = self._bounds()
-            if lo & ~hi or lo >> max_height + 1:
-                return
-            # free coordinates above the bound come last in the counter,
-            # so leaving them out drops exactly the too-high members
-            free = hi & ~lo & ((2 << max_height) - 1)
-            first = self.cutoff + 1 + (base - self.cutoff - 1) % 2
+        lo = self.zlo
+        if lo & ~self.zhi or lo >> max_height + 1:
+            return
+        # free coordinates above the bound come last in the counter, so
+        # leaving them out drops exactly the too-high members
+        free = self.zhi & ~lo & ((2 << max_height) - 1)
+        first = self.cutoff + 1 + (1 - self.parity - self.cutoff) % 2
         tail = range(first, max_height + 1, 2) if self.free_tail else ()
         for z in submasks(lo, chain(tail, ones(free))):
             yield from_orthogonal(z, self.parity)
-
-
-def _chain_interval(eps: int, cutoff: int, lo: ChainSum, hi: ChainSum, free_tail: bool) -> ChainDivision:
-    """[lo, hi] in the cutoff algebra; empty unless lo <= hi in Z-coordinates."""
-    if to_orthogonal(lo, eps) & ~to_orthogonal(hi, eps):
-        return ChainDivision(parity=eps, cutoff=cutoff, kind="empty")
-    return ChainDivision(eps, cutoff, "interval", lo, hi, free_tail)
 
 
 def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
@@ -292,30 +296,28 @@ def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
         raise ValueError("divisor must be nonzero; use divide_full for 0")
     if not (a.is_pure(eps) and b.is_pure(eps)):
         raise ValueError(f"operands must be purely of parity {eps}")
-    h = a.height
-    if b.height > h:
-        return ChainDivision(parity=eps, cutoff=h, kind="empty")
-    return _chain_interval(eps, h, b, b + a + ChainSum([h]), free_tail=True)
+    return _chain_branch(to_orthogonal(a, eps), to_orthogonal(b, eps), eps, 0, 0)
 
 
-def _chain_branch(
-    a_eps: ChainSum, b_eps: ChainSum, eps: int, t: int, cycle_scale: int
-) -> ChainDivision:
-    """Chain constraint of the combined equation for one parity class.
+def _chain_branch(za: int, zb: int, eps: int, t: int, cycle_scale: int) -> ChainDivision:
+    """Chain constraint of the combined equation for one parity class, on
+    the Z masks za and zb of the class-eps chains of divisor and target.
 
     ``cycle_scale`` is the parity with which the divisor's cycle part acts
-    on chains; when it is 0 the equation is a pure chain division of
-    b + t*a by a, otherwise x appears on both sides and is forced below
-    the cutoff.
+    on chains.  When it is 0, Z_a & Z_x = Z_target (a pure chain division
+    of b + t*a by a): x is fixed where Z_a is set, free elsewhere and above
+    the height of a.  Otherwise Z_x & ~Z_a = Z_target: x is fixed where Z_a
+    is clear, free where it is set, and zero above the cutoff.
     """
-    target = b_eps + a_eps if t else b_eps
-    if cycle_scale == 0:
-        if not a_eps:
-            kind = "empty" if target else "all"
-            return ChainDivision(parity=eps, cutoff=0, kind=kind)
-        return divide_chains(a_eps, target, eps)
-    h = max(a_eps.height, b_eps.height)
-    return _chain_interval(eps, h, target, target + a_eps, free_tail=False)
+    target = zb ^ za if t else zb
+    if cycle_scale == 0 and not za:
+        return ChainDivision(parity=eps, cutoff=0, kind="empty" if target else "all")
+    h = max((za | zb if cycle_scale else za).bit_length() - 1, 0)
+    head = _run(h, 2 - eps)
+    fixed = head & ~za if cycle_scale else za
+    if target & ~fixed:
+        return ChainDivision(parity=eps, cutoff=h, kind="empty")
+    return ChainDivision(eps, h, "interval", target, target | head & ~fixed, not cycle_scale)
 
 
 @dataclass(frozen=True)
@@ -379,6 +381,8 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
     ac, bc = a.cycles, b.cycles
     scale = odd_cycle_parity(ac)
     sol = solve(ac, bc) if ac else None
+    za = [to_orthogonal(a.chains.parity_part(eps), eps) for eps in (0, 1)]
+    zb = [to_orthogonal(b.chains.parity_part(eps), eps) for eps in (0, 1)]
     branches = []
     for t in (0, 1):
         if sol is None:
@@ -387,12 +391,7 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
         else:
             nonempty = sol.solvable and interval_has_parity(*sol.level_coords(0), t, sol.bits)
             cycle = CycleBranch(t=t, free=False, sol=sol, nonempty=nonempty)
-        chains = tuple(
-            _chain_branch(
-                a.chains.parity_part(eps), b.chains.parity_part(eps), eps, t, scale
-            )
-            for eps in (0, 1)
-        )
+        chains = tuple(_chain_branch(za[eps], zb[eps], eps, t, scale) for eps in (0, 1))
         branches.append(BranchSolution(t=t, cycle=cycle, chains=chains))
     return CombinedSolutionSet(a=a, b=b, branches=tuple(branches))
 

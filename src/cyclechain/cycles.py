@@ -61,7 +61,7 @@ class OddSet:
         return len(self.lengths)
 
     def __add__(self, other: "OddSet") -> "OddSet":
-        return OddSet(self.lengths ^ other.lengths)
+        return OddSet._make(self.lengths ^ other.lengths)
 
     def __mul__(self, other: "OddSet") -> "OddSet":
         # lcm-convolution; the gcd of two odd numbers is odd, so every
@@ -70,7 +70,7 @@ class OddSet:
         for a in self.lengths:
             for b in other.lengths:
                 acc ^= {math.lcm(a, b)}
-        return OddSet(acc)
+        return OddSet._make(frozenset(acc))
 
     def __or__(self, other: "OddSet") -> "OddSet":
         """Lattice join: e | f = e + f + e*f."""

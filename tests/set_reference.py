@@ -1,14 +1,18 @@
-"""The OddSet formulas of division, structure and poly: the test reference.
+"""The OddSet formulas of division, structure and poly, and the pair loop
+of the chain product: the test reference.
 
 Each is the per-level formula of a solver written directly on ``OddSet``
 values and ``CycleSum`` products, independently of the coordinate
 interface that ``division``, ``structure`` and ``poly`` run on.  The
 differential tests compare the solvers with these, value for value,
-generators, witnesses and reason texts included.
+generators, witnesses and reason texts included.  ``chain_mul_pairs``
+multiplies chain sums chain by chain, where ``ChainSum.__mul__`` sweeps
+the Z-coordinates.
 """
 
 from typing import Optional
 
+from cyclechain.chains import ChainSum
 from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
 from cyclechain.division import ODD_COORDS, IntervalSolutionSet
 from cyclechain.poly import CubicPoly
@@ -22,6 +26,17 @@ from cyclechain.structure import (
     is_regular,
     is_unit,
 )
+
+
+def chain_mul_pairs(a: ChainSum, b: ChainSum) -> ChainSum:
+    """``ChainSum.__mul__`` by the pair loop: L_e * L_d is L_min(e, d) when
+    e and d agree mod 2, and 0 otherwise."""
+    acc: set[int] = set()
+    for e in a.lengths:
+        for d in b.lengths:
+            if (e ^ d) & 1 == 0:
+                acc ^= {min(e, d)}
+    return ChainSum(acc)
 
 
 def solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from cyclechain import oracle
 from cyclechain.chains import (
+    ChainDivision,
     ChainSum,
     Element,
+    _chain_branch,
     divide_chains,
     divide_full,
     divide_full_restricted,
@@ -18,10 +21,11 @@ from cyclechain.chains import (
     odd_cycle_parity,
     to_orthogonal,
 )
-from cyclechain.cycles import CycleSum
-from cyclechain.lattice import ones
+from cyclechain.cycles import CycleSum, OddSet
+from cyclechain.lattice import ones, submasks
 
 from conftest import rand_cycles, rand_element
+from set_reference import chain_mul_pairs
 
 C = CycleSum.single
 
@@ -57,6 +61,56 @@ class TestChainProducts:
     def test_chain_sum_products(self):
         assert L(3) * L(1, 5) == L(1, 3)
         assert elem(chains=L(2)) * elem(cycles=C(3) + C(5)) == elem()
+
+    def test_sweep_equals_the_pair_loop(self, rng):
+        # small tops share lengths between the operands; 0 chains is the
+        # empty sum
+        for i in range(5000):
+            top = (4, 12, 300)[i % 3]
+            a = ChainSum(rng.randint(1, top) for _ in range(rng.randint(0, 20)))
+            b = ChainSum(rng.randint(1, top) for _ in range(rng.randint(0, 20)))
+            assert a * b == chain_mul_pairs(a, b), (str(a), str(b))
+        assert L(2, 3) * ChainSum() == ChainSum() * L(2, 3) == ChainSum()
+
+    def test_product_is_the_and_of_z_coordinates(self, rng):
+        for _ in range(300):
+            eps = rng.randint(0, 1)
+            a = ChainSum(rng.randrange(2 - eps, 40, 2) for _ in range(rng.randint(0, 6)))
+            b = ChainSum(rng.randrange(2 - eps, 40, 2) for _ in range(rng.randint(0, 6)))
+            assert a * b == from_orthogonal(to_orthogonal(a, eps) & to_orthogonal(b, eps), eps)
+
+    def test_products_match_the_oracle(self, rng):
+        for _ in range(300):
+            for cycle_terms in (0, 3):
+                x = rand_element(rng, cycle_terms=cycle_terms, max_chain=12, chain_terms=5)
+                y = rand_element(rng, cycle_terms=cycle_terms, max_chain=12, chain_terms=5)
+                assert x * y == oracle.oracle_mul(x, y), (str(x), str(y))
+
+    def test_product_of_thousands_of_chains_is_fast(self):
+        rng = random.Random(2000)
+        a = ChainSum(rng.sample(range(1, 10**6), 2000))
+        b = ChainSum(rng.sample(range(1, 10**6), 2000))
+        t0 = time.perf_counter()
+        p = a * b
+        assert time.perf_counter() - t0 < 0.5
+        for eps in (0, 1):
+            z = to_orthogonal(a.parity_part(eps), eps) & to_orthogonal(b.parity_part(eps), eps)
+            assert p.parity_part(eps) == from_orthogonal(z, eps)
+
+    def test_closed_operations_skip_the_constructor_checks(self, monkeypatch, rng):
+        pairs = [(rand_element(rng), rand_element(rng)) for _ in range(100)]
+
+        def refuse(self, *args):
+            raise AssertionError("a closed result went through the checked constructor")
+
+        monkeypatch.setattr(OddSet, "__init__", refuse)
+        monkeypatch.setattr(ChainSum, "__init__", refuse)
+        for x, y in pairs:
+            for u, v in ((x, y), (x.chains, y.chains), (x.cycles, y.cycles)):
+                assert u * v == v * u and u + v == v + u
+            u, v = x.cycles.odd_part, y.cycles.odd_part
+            assert u * v == v * u and u + v == v + u
+            assert from_orthogonal(to_orthogonal(x.chains.parity_part(1), 1), 1) == x.chains.parity_part(1)
 
     def test_ring_laws(self, rng):
         for _ in range(500):
@@ -96,13 +150,6 @@ class TestOrthogonalBasis:
                 for j in idxs:
                     want = Z(i, eps) if i == j else ChainSum()
                     assert Z(i, eps) * Z(j, eps) == want
-
-
-class TestHeight:
-    def test_examples(self):
-        assert L(1, 3).height == 3
-        assert ChainSum().height == 0
-        assert L(8).height == 8
 
 
 def brute_chain_solutions(a, b, universe):
@@ -159,6 +206,64 @@ class TestDivideChains:
                 assert mine == brute, (str(a), str(b))
                 for x in subsets:
                     assert d.contains(x) == (a * x == b)
+
+
+def converting_contains(cd: ChainDivision, x: ChainSum) -> bool:
+    """``ChainDivision.contains`` on the bounds read as chain sums and
+    converted to Z masks on every call: the reference for the masks."""
+    if not x.is_pure(cd.parity):
+        return False
+    if cd.kind == "all":
+        return True
+    if cd.kind == "empty":
+        return False
+    zx = to_orthogonal(x, cd.parity)
+    head = zx & ((2 << cd.cutoff) - 1)
+    if not cd.free_tail and head != zx:
+        return False
+    zlo, zhi = to_orthogonal(cd.lo, cd.parity), to_orthogonal(cd.hi, cd.parity)
+    return not (zlo & ~head or head & ~zhi)
+
+
+def converting_members(cd: ChainDivision, max_height: int):
+    """``ChainDivision.members`` on the bounds converted per call."""
+    if cd.kind == "empty":
+        return
+    base = 2 - cd.parity
+    lo = free = 0
+    first = base
+    if cd.kind == "interval":
+        lo, hi = to_orthogonal(cd.lo, cd.parity), to_orthogonal(cd.hi, cd.parity)
+        if lo & ~hi or lo >> max_height + 1:
+            return
+        free = hi & ~lo & ((2 << max_height) - 1)
+        first = cd.cutoff + 1 + (base - cd.cutoff - 1) % 2
+    tail = range(first, max_height + 1, 2) if cd.free_tail else ()
+    for z in submasks(lo, itertools.chain(tail, ones(free))):
+        yield from_orthogonal(z, cd.parity)
+
+
+class TestChainDivisionMasks:
+    def test_masks_answer_as_the_converted_bounds(self):
+        seen = set()
+        for eps in (0, 1):
+            lengths = range(2 - eps, 9, 2)
+            sums = [ChainSum(c) for r in range(5) for c in itertools.combinations(lengths, r)]
+            probes = [ChainSum(c) for r in range(6) for c in itertools.combinations(range(2 - eps, 11, 2), r)]
+            probes += [L(1, 2), L(3, 4, 5)]
+            masks = [to_orthogonal(a, eps) for a in sums]
+            for za, zb, t, scale in itertools.product(masks, masks, (0, 1), (0, 1)):
+                cd = _chain_branch(za, zb, eps, t, scale)
+                seen.add((cd.kind, cd.free_tail))
+                if cd.kind == "interval":
+                    assert (to_orthogonal(cd.lo, eps), to_orthogonal(cd.hi, eps)) == (cd.zlo, cd.zhi)
+                else:
+                    assert cd.lo is None and cd.hi is None
+                for x in probes:
+                    assert cd.contains(x) == converting_contains(cd, x)
+                for max_height in {0, 3, cd.cutoff, cd.cutoff + 1, 10}:
+                    assert list(cd.members(max_height)) == list(converting_members(cd, max_height))
+        assert seen >= {("all", True), ("empty", True), ("interval", True), ("interval", False)}
 
 
 class TestDivideFull:

@@ -150,7 +150,7 @@ def ref_chain_members(cd: ChainDivision, max_height):
             coords = set(head)
             coords.update(tail[t] for t in range(len(tail)) if tbits >> t & 1)
             x = ref_from_orthogonal(coords, cd.parity)
-            if x.height <= max_height:
+            if max(x.lengths, default=0) <= max_height:
                 yield x
 
 
@@ -371,7 +371,8 @@ class TestEnumeratorsDifferential:
             sums = [ChainSum(c) for r in range(5) for c in itertools.combinations(lengths, r)]
             for a in sums[1:]:
                 for b in sums:
-                    for cd in (divide_chains(a, b, eps), _chain_branch(a, b, eps, 0, 1)):
+                    za, zb = to_orthogonal(a, eps), to_orthogonal(b, eps)
+                    for cd in (divide_chains(a, b, eps), _chain_branch(za, zb, eps, 0, 1)):
                         for max_height in range(10):
                             assert list(cd.members(max_height)) == list(ref_chain_members(cd, max_height))
 

@@ -13,6 +13,12 @@ coordinates in one place: only ``division.layout`` calls
 ``divisor_bits``.  A second call site would be a second policy on when a
 layout is worth building.
 
+The chain solvers convert each operand to Z-coordinates in one place:
+only the entry points ``divide_chains`` and ``divide_full``, and
+``ChainDivision`` for the chain sum it is asked about, call
+``to_orthogonal``.  The branch and interval code below them runs on the
+masks it is given, so no call converts an operand again.
+
 No code that runs at import subscripts a ``typing`` form, as in
 ``Coords = Union[A, B]``.  ``typing`` caches every such form for good, and
 through its classes the cache would keep each module of that import alive
@@ -54,15 +60,15 @@ def test_the_rule_sees_nesting_and_neighbours():
     assert crowded_lines("f = lambda: (e for e in p)\n") == []
 
 
-def divisor_bits_callers(source: str) -> list[str]:
-    """The top-level definitions of source that call ``divisor_bits``."""
+def callers_of(source: str, callee: str) -> list[str]:
+    """The top-level definitions of source that call ``callee``."""
     callers = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "divisor_bits":
+                if name == callee:
                     callers.append(getattr(top, "name", "<module>"))
     return callers
 
@@ -71,7 +77,7 @@ def divisor_bits_callers(source: str) -> list[str]:
     "module, allowed", [("division.py", {"layout"}), ("structure.py", set()), ("poly.py", set())]
 )
 def test_only_layout_builds_a_layout(module, allowed):
-    assert set(divisor_bits_callers((SRC / "cyclechain" / module).read_text())) <= allowed
+    assert set(callers_of((SRC / "cyclechain" / module).read_text(), "divisor_bits")) <= allowed
 
 
 def test_the_layout_rule_sees_every_call_site():
@@ -80,7 +86,12 @@ def test_the_layout_rule_sees_every_call_site():
         "class S:\n    def f(self):\n        return lattice.divisor_bits(3, 8)\n"
         "bits = divisor_bits(5)\n"
     )
-    assert divisor_bits_callers(source) == ["layout", "S", "<module>"]
+    assert callers_of(source, "divisor_bits") == ["layout", "S", "<module>"]
+
+
+def test_chain_operands_are_converted_once():
+    source = (SRC / "cyclechain" / "chains.py").read_text()
+    assert set(callers_of(source, "to_orthogonal")) <= {"ChainDivision", "divide_chains", "divide_full"}
 
 
 def typing_subscripts_at_import(source: str) -> list[int]:
