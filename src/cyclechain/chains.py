@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cycles import CycleSum, OddSet
 from .division import (
     IntervalSolutionSet,
+    check_window,
     interval_has_parity,
     lazy_product,
     level_factors,
@@ -432,15 +432,7 @@ def divide_full_restricted(
     multiplication before being yielded.  The listing is lazy: cycle
     levels, then even and odd chains, in one lexicographic product.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    ka = a.cycles.stats()[0]
-    kb = b.cycles.stats()[0]
-    if k % lcm(ka, kb) != 0:
-        raise ValueError(
-            f"k={k} must be a multiple of lcm({ka}, {kb}); "
-            "restriction would be unsound"
-        )
+    check_window(k, a.cycles, b.cycles)
     bits = window_bits(k)
     sols = divide_full(a, b)
     if max_level is None:

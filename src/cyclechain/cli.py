@@ -201,9 +201,7 @@ def cmd_atoms(args) -> int:
     bits = lattice.window_bits(k)
     divisors = sorted(bits.divisors)
     atoms = {j: sorted(bits.decode(1 << bits.index[j])) for j in divisors}
-    expansions = {
-        i: [j for j in divisors if j % i == 0] for i in divisors
-    }
+    expansions = {i: list(lattice.divisor_atom_indices(k, i)) for i in divisors}
     if args.json:
         print(json.dumps({"atoms": atoms, "expansions": expansions}))
     else:

@@ -9,10 +9,10 @@ solution and a complete restricted enumeration all read off that data.
 Each formula has one body, written on a coordinate interface: ``zero``,
 ``top``, ``&`` the product, ``^`` the sum, ``|`` the join, ``~`` the
 complement (only under ``&``), ``encode``/``decode`` and ``parity``.  Two
-types provide it.  ``DivisorBits`` masks are the atom coordinates of the
-lcm of the odd parts in play; ``ODD_COORDS``, where each idempotent is its
-own ``OddSet``, serves the moduli whose layout is not worth building.
-``layout`` alone chooses between them.
+types provide it.  ``DivisorBits`` masks are atom coordinates over a
+coprime base of the odd parts in play, which no solver factors;
+``ODD_COORDS``, where each idempotent is its own ``OddSet``, serves the
+operands whose layout would be too large.  ``layout`` alone chooses.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
-from .lattice import DivisorBits, divisor_bits, window_bits
+from .lattice import DivisorBits, coprime_bits, kept_bits, window_bits
 
 T = TypeVar("T")
 _END = object()
@@ -46,10 +46,6 @@ class OddCoords:
     @staticmethod
     def decode(x: OddSet) -> frozenset[int]:
         return x.lengths
-
-    @staticmethod
-    def holds(lengths: frozenset[int]) -> bool:
-        return True
 
     @staticmethod
     def parity(x: OddSet) -> int:
@@ -169,27 +165,29 @@ def layout(*xs: CycleSum) -> tuple[Coords, list[dict], int]:
     """The coordinates for xs, with each x's levels encoded there (one
     dict from level to coordinate per x), and the highest level n of the xs.
 
-    The coordinates are the atom coordinates of k = lcm of the odd parts
-    of xs, or ``ODD_COORDS`` when that layout is not worth building:
-    factoring k would take more trial divisions than the OddSet products
-    multiply pairs of terms over all levels, (terms + 1) * ... *
-    (levels + 1), or k has more than ``MAX_BIT_DIVISORS`` divisors.
+    The coordinates are those of the layout kept for k = lcm of the odd
+    parts of xs when it holds every length: a hit costs no gcd.  On a miss
+    (a ``KeyError`` from ``encode``) they are those of ``coprime_bits``, or
+    ``ODD_COORDS`` when that layout would be too large.
     """
-    k, n, pairs = 1, 0, 1
+    k, n = 1, 0
     for x in xs:
-        levels = x.items()
-        terms = 1
-        for _, odd in levels:
-            k = lcm(k, *odd.lengths)
-            terms += len(odd)
-        if levels:  # sorted by level
-            n = max(n, levels[-1][0])
-        pairs *= terms
-    bits = divisor_bits(k, pairs * (n + 1)) or ODD_COORDS
-    masks = []
-    for x in xs:
-        masks.append({i: bits.encode(odd.lengths) for i, odd in x.items()})
-    return bits, masks, n
+        kx, nx = x.stats()
+        k, n = lcm(k, kx), max(n, nx)
+    bits = kept_bits(k)
+    if bits is not None:
+        try:
+            return bits, [encoded(bits, x) for x in xs], n
+        except KeyError:  # a length that the kept layout does not hold
+            pass
+    bits = coprime_bits(k, [q for x in xs for _, odd in x.items() for q in odd.lengths]) or ODD_COORDS
+    return bits, [encoded(bits, x) for x in xs], n
+
+
+def encoded(bits: Coords, x: CycleSum) -> dict:
+    """The level coordinates of x in ``bits``; KeyError for an odd part
+    that the layout does not hold."""
+    return {i: bits.encode(odd.lengths) for i, odd in x.items()}
 
 
 def decoded(bits: Coords, x) -> OddSet:
@@ -227,9 +225,9 @@ def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
     if not sol.solvable:
         return False
     bits = sol.bits
-    if all(bits.holds(odd.lengths) for _, odd in x.items()):
-        X = {i: bits.encode(odd.lengths) for i, odd in x.items()}
-    else:
+    try:
+        X = encoded(bits, x)
+    except KeyError:
         bits, (A, B, X), n = layout(sol.a, sol.b, x)
         sol = _solved(sol.a, sol.b, bits, A, B, n)
     for i in set(range(sol.n + 1)).union(X):
@@ -318,14 +316,14 @@ def level_factors(
     members of support-size parity t.
 
     The stored masks serve as they are when ``bits`` is the solution's own
-    layout; otherwise each endpoint is mapped into ``bits`` once.  Empty
-    when a level above n has a nonzero lower endpoint, since no solution
-    then stays at or below level n.
+    layout; otherwise, a coarser layout of the same k too, each endpoint
+    is mapped into ``bits`` once.  Empty when a level above n has a
+    nonzero lower endpoint, since no solution then stays at or below n.
     """
     if any(sol.level_coords(i)[0] for i in range(n + 1, sol.n + 1)):
         return []
     ends = [sol.level_coords(i) for i in range(n + 1)]
-    if sol.bits.k != bits.k:
+    if sol.bits is not bits:
         def move(e) -> int:
             return bits.encode(sol._odd(e).lengths)
 
@@ -345,16 +343,9 @@ def enumerate_restricted(
     """
     if not sol.solvable:
         return
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    # a layout's k is lcm(ka, kb), and sol.n is the higher top level of a and b
-    kab = sol.bits.k or lcm(sol.a.stats()[0], sol.b.stats()[0])
-    if k % kab != 0:
-        ka, kb = sol.a.stats()[0], sol.b.stats()[0]
-        raise ValueError(
-            f"k={k} must be a multiple of lcm({ka}, {kb}); "
-            "restriction would be unsound"
-        )
+    # a layout's k is lcm(ka, kb): a window on an odd multiple of it is sound
+    if k < 1 or k % 2 == 0 or sol.bits.k is None or k % sol.bits.k:
+        check_window(k, sol.a, sol.b)
     if n < sol.n:
         raise ValueError("level bound below the inputs' own levels")
 
@@ -365,6 +356,16 @@ def enumerate_restricted(
                 f"internal error: candidate {x} fails verification"
             )
         yield x
+
+
+def check_window(k: int, a: CycleSum, b: CycleSum) -> None:
+    """ValueError unless the window modulus k is odd and a multiple of the
+    odd parts of a and b, without which the restriction would be unsound."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"odd k required, got {k}")
+    ka, kb = a.stats()[0], b.stats()[0]
+    if k % lcm(ka, kb) != 0:
+        raise ValueError(f"k={k} must be a multiple of lcm({ka}, {kb}); restriction would be unsound")
 
 
 def interval_has_parity(lo, hi, t: int, bits: Coords = ODD_COORDS) -> bool:

@@ -10,8 +10,9 @@ bit l alone, and the support is decoded by Moebius inversion when read.
 
 The divisor lattice of an odd k (divisors ordered by reverse divisibility,
 meet = lcm) is the instance the cycle arithmetic cares about; its atoms
-have the closed form produced by ``divisor_atom``.  ``DivisorBits`` holds
-the same algebra in atom coordinates, as int bitmasks over the divisors.
+have the closed form stated by ``divisor_atom``.  ``DivisorBits`` holds
+the same algebra in atom coordinates, as int bitmasks over the products
+of powers of a coprime base.  Only window code factors k.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import xor
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -262,23 +263,6 @@ def divisor_lattice(k: int) -> FiniteLattice:
     return FiniteLattice(divisors(k), math.lcm)
 
 
-def divisors(k: int) -> list[int]:
-    """The divisors of odd k, ascending, from its factorisation."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    out = [1]
-    for p, e in _prime_factors(k).items():
-        out = [d * p**a for a in range(e + 1) for d in out]
-    return sorted(out)
-
-
-def divisor_count(k: int) -> int:
-    """The number of divisors of odd k, from its factorisation."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    return math.prod(e + 1 for e in _prime_factors(k).values())
-
-
 class BoolElem:
     """A formal sum mod 2 over a lattice's ground set, an element of its
     sum algebra, held in atom coordinates.
@@ -502,62 +486,36 @@ def semilattice_algebra(
     return SemilatticeAlgebra(lattice=lat, top=full_top, atoms=rest)
 
 
-def _prime_factors(k: int, max_steps: Optional[int] = None) -> Optional[dict[int, int]]:
-    """Prime factorisation of odd k by trial division.
-
-    With ``max_steps``, gives up and returns None once that many trial
-    divisors have not finished the job.
-    """
-    found = _trial_division(k, max_steps)
-    return found and found[0]
-
-
-def _trial_division(k: int, max_steps: Optional[int] = None) -> Optional[tuple[dict[int, int], int]]:
-    """``_prime_factors`` of k, with the number of trial divisors it took."""
-    out: dict[int, int] = {}
-    d = 3
-    steps = 0
-    while d * d <= k:
-        if steps == max_steps:
-            return None
-        steps += 1
-        while k % d == 0:
-            out[d] = out.get(d, 0) + 1
-            k //= d
-        d += 2
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out, steps
-
-
 # Most divisors a DivisorBits layout takes: masks of at most 512 bytes.
 MAX_BIT_DIVISORS = 1 << 12
 
 
 class DivisorBits:
-    """Atom coordinates for the idempotents whose lengths divide an odd k.
+    """Atom coordinates for the idempotents whose lengths are products of
+    powers of a pairwise coprime base, whose elements need not be prime.
 
-    Bit t of a mask stands for the divisor ``divisors[t]`` of k, indexed in
-    mixed radix by its prime exponents (smallest prime least significant).
-    An idempotent maps to the mask whose bit at j is the parity of the
-    number of its lengths dividing j: ``C_q`` becomes the up-set
-    {j | k : q | j}, the mod-2 zeta transform over the divisor lattice.
-    There the lcm-convolution product is ``&``, the sum ``^``, the join
-    ``|``, the complement XOR with ``top`` and ``<=`` a subset test, and the
-    bit at j = k is the parity of the support size.  ``zero``, ``top``,
-    ``encode``, ``decode``, ``holds`` and ``parity`` are the coordinate
-    interface the solvers run on (``division.ODD_COORDS`` is the other).
+    Bit t of a mask stands for ``divisors[t]``, indexed in mixed radix by
+    its exponents (first base element least significant); ``k`` is the
+    largest, and the divisors are closed under gcd and lcm.  An idempotent
+    maps to the mask whose bit at j is the parity of the number of its
+    lengths dividing j: ``C_q`` becomes the up-set {j : q | j}, the mod-2
+    zeta transform over these divisors.  There the lcm-convolution product
+    is ``&``, the sum ``^``, the join ``|``, the complement XOR with
+    ``top`` and ``<=`` a subset test, and the bit at j = k is the parity of
+    the support size.  ``zero``, ``top``, ``encode``, ``decode`` and
+    ``parity`` are the coordinate interface the solvers run on
+    (``division.ODD_COORDS`` is the other).
 
-    The divisor lattice is a product of one chain per prime, so the zeta
+    The lattice is a product of one chain per base element, so the zeta
     transform is a prefix XOR along each chain: one shift-XOR pass per
-    prime and exponent step, O(d(k) * omega(k)) bit work in all.  The
+    element and exponent step, O(d * omega) bit work for d divisors.  The
     mod-2 Moebius inverse runs the same passes in reverse order.  The
     transform is linear, so ``encode`` XORs the up-sets of the lengths;
     the layout keeps the up-set of each divisor, made by the passes the
-    first time it is encoded, so it holds at most d(k) of them.
+    first time it is encoded, so it holds at most d of them.
     """
 
-    __slots__ = ("k", "divisors", "index", "top", "_passes", "_up")
+    __slots__ = ("k", "base", "divisors", "index", "top", "_passes", "_up")
     zero = 0
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
@@ -571,12 +529,13 @@ class DivisorBits:
         for stride, e in strides:
             period = stride * (e + 1)
             for a in range(1, e + 1):
-                # positions whose exponent of this prime is a - 1
+                # positions whose exponent of this element is a - 1
                 sel = 0
                 for t in range((a - 1) * stride, n, period):
                     sel |= ((1 << stride) - 1) << t
                 passes.append((stride, sel))
         self.k = divisors[-1]
+        self.base: tuple[int, ...] = tuple(p for p, _ in factors)
         self.divisors: tuple[int, ...] = tuple(divisors)
         self.index: dict[int, int] = {d: t for t, d in enumerate(divisors)}
         self.top = (1 << n) - 1
@@ -584,7 +543,8 @@ class DivisorBits:
         self._up = _UpSets(self.index, self._passes)
 
     def encode(self, lengths: Iterable[int]) -> int:
-        """Mask of the idempotent with these (distinct) lengths, all dividing k."""
+        """Mask of the idempotent with these (distinct) lengths, all
+        divisors of the layout; KeyError for a length that is not."""
         return reduce(xor, map(self._up.__getitem__, lengths), 0)
 
     def decode(self, x: int) -> list[int]:
@@ -598,10 +558,6 @@ class DivisorBits:
             out.append(divisors[low.bit_length() - 1])
             x ^= low
         return out
-
-    def holds(self, lengths: Iterable[int]) -> bool:
-        """Whether every one of these lengths divides k."""
-        return self.index.keys() >= lengths
 
     def parity(self, x: int) -> int:
         """The support-size parity of the idempotent with mask x."""
@@ -663,40 +619,101 @@ def ones(x: int) -> Iterator[int]:
         x ^= low
 
 
-def divisor_bits(k: int, max_steps: Optional[int] = None) -> Optional[DivisorBits]:
-    """The bit layout of odd k, or None when it is not worth building.
-
-    None when factoring k takes more than ``max_steps`` (>= 0) trial
-    divisions or k has more than ``MAX_BIT_DIVISORS`` divisors.  The 64
-    most recently used layouts are kept by k with the trial divisions k
-    took, so a kept layout is refused as a first build would be.
-    """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"odd k required, got {k}")
-    built = _LAYOUTS.pop(k, None)
-    if built is None:
-        found = _trial_division(k, max_steps)
-        if found is None or math.prod(e + 1 for e in found[0].values()) > MAX_BIT_DIVISORS:
-            return None
-        built = (found[1], DivisorBits(tuple(sorted(found[0].items()))))
-        if len(_LAYOUTS) == 64:
-            del _LAYOUTS[next(iter(_LAYOUTS))]
-    _LAYOUTS[k] = built
-    steps, bits = built
-    return None if max_steps is not None and steps > max_steps else bits
+def coprime_base(numbers: Iterable[int]) -> list[int]:
+    """A pairwise coprime base of the numbers, each a product of powers of
+    its elements, by factor refinement (Bach, Driscoll and Shallit 1993):
+    a with g = gcd(a, b) > 1 replaces b by g, a / g and b / g."""
+    base: list[int] = []
+    todo = [a for a in set(numbers) if a > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                todo += (c for c in (g, a // g, b // g) if c > 1)
+                break
+        else:
+            base.append(a)
+    return base
 
 
-_LAYOUTS: dict[int, tuple[int, DivisorBits]] = {}
+def kept_bits(k: int) -> Optional[DivisorBits]:
+    """The layout kept for odd k, if any."""
+    return _LAYOUTS.get(k)
+
+
+def coprime_bits(k: int, lengths: Iterable[int]) -> Optional[DivisorBits]:
+    """The solvers' layout of odd k over a coprime base of these lengths
+    (with lcm k) and of the kept layout's base, found by gcds alone, and
+    kept.  So a base only gets finer.  If that layout has more than
+    ``MAX_BIT_DIVISORS`` divisors, the lengths' own base is tried; None
+    when it is too large as well."""
+    lengths, kept = list(lengths), _LAYOUTS.get(k)
+    for numbers in (chain(lengths, kept.base) if kept else lengths, lengths):
+        factors = []
+        for p in sorted(coprime_base(numbers)):
+            e, q = 0, k
+            while q % p == 0:
+                e, q = e + 1, q // p
+            factors.append((p, e))
+        if math.prod(e + 1 for _, e in factors) <= MAX_BIT_DIVISORS:
+            return _kept(k, DivisorBits(tuple(factors)))
+    return None
+
+
+def _kept(k: int, bits: DivisorBits) -> DivisorBits:
+    """Keep bits as the layout of k; the oldest of 64 is dropped."""
+    if k not in _LAYOUTS and len(_LAYOUTS) == 64:
+        del _LAYOUTS[next(iter(_LAYOUTS))]
+    _LAYOUTS[k] = bits
+    return bits
+
+
+_LAYOUTS: dict[int, DivisorBits] = {}
 
 
 def window_bits(k: int) -> DivisorBits:
-    """The bit layout of odd k for listing a window, however long k takes
-    to factor; ValueError when k has more than ``MAX_BIT_DIVISORS``
-    divisors."""
-    bits = divisor_bits(k)
-    if bits is None:
+    """The layout of odd k over its primes, for listing a window, kept as
+    the solvers' layout of k so that a solve on k lands in it; ValueError
+    when k has more than ``MAX_BIT_DIVISORS`` divisors."""
+    return _kept(k, _window_layout(k))
+
+
+@lru_cache(maxsize=64)
+def _window_layout(k: int) -> DivisorBits:
+    """``window_bits`` of k, built once per k: the one place k is factored."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"odd k required, got {k}")
+    factors = _prime_factors(k)
+    if math.prod(e + 1 for e in factors.values()) > MAX_BIT_DIVISORS:
         raise ValueError(f"k={k} has more than {MAX_BIT_DIVISORS} divisors, too many to list")
-    return bits
+    return DivisorBits(tuple(sorted(factors.items())))
+
+
+def _prime_factors(k: int) -> dict[int, int]:
+    """Prime factorisation of odd k by trial division."""
+    out: dict[int, int] = {}
+    d = 3
+    while d * d <= k:
+        while k % d == 0:
+            out[d] = out.get(d, 0) + 1
+            k //= d
+        d += 2
+    if k > 1:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def divisors(k: int) -> list[int]:
+    """The divisors of odd k, ascending, read from its window layout."""
+    return sorted(window_bits(k).divisors)
+
+
+def divisor_count(k: int) -> int:
+    """The number of divisors of odd k, read from its window layout."""
+    return len(window_bits(k).divisors)
 
 
 def divisor_atom(k: int, j: int) -> BoolElem:
@@ -708,20 +725,11 @@ def divisor_atom(k: int, j: int) -> BoolElem:
     lat = divisor_lattice(k)
     if j < 1 or k % j != 0:
         raise ValueError(f"{j} does not divide {k}")
-    m = 1
-    for p, kp in _prime_factors(k).items():
-        jp = 0
-        jj = j
-        while jj % p == 0:
-            jp += 1
-            jj //= p
-        m *= p ** min(jp + 1, kp)
-    support = [l for l in lat.elements if l % j == 0 and m % l == 0]
-    return BoolElem(lat, support)
+    return atom_for(lat, j)
 
 
 def divisor_atom_indices(k: int, i: int) -> tuple[int, ...]:
     """Divisors j of k whose atoms sum to the single divisor element i."""
     if i < 1 or k % i != 0:
         raise ValueError(f"{i} does not divide {k}")
-    return tuple(j for j in divisor_lattice(k).elements if j % i == 0)
+    return tuple(j for j in divisors(k) if j % i == 0)

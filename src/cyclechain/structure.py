@@ -15,9 +15,9 @@ one product a*m:
 
 ``classify``, ``green`` and ``ideal_intersect`` read these forms from the
 per-level coordinates of one ``division.layout`` over the operands, where
-the product is ``&``: the masks of a ``DivisorBits`` layout over the lcm
-of their odd parts, or the ``OddSet`` values themselves when that layout
-is refused.  Each has one body for both.  With a the level-0 coordinate
+the product is ``&``: the masks of a ``DivisorBits`` layout over a coprime
+base of their odd parts, or the ``OddSet`` values themselves when that
+layout is too large.  Each has one body for both.  With a the level-0 coordinate
 and M the OR of those of levels >= 1, x is regular iff M & ~a = 0 and
 co-regular iff M & a = 0, its closure is a | M, and its co-regular
 representative maps each level m_i >= 1 to m_i & ~a.  Only returned

@@ -34,3 +34,12 @@ def rand_element(rng, parts=(1, 3, 5, 15), levels=2, cycle_terms=3, max_chain=6,
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+class KeepsNothing(dict):
+    """A stand-in for ``lattice._LAYOUTS`` that keeps no layout, so each
+    ``division.layout`` call has to build one: even the layout a window
+    keeps for its k is dropped."""
+
+    def __setitem__(self, k, bits):
+        pass

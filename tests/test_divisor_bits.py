@@ -23,10 +23,11 @@ from cyclechain.lattice import (
     MAX_BIT_DIVISORS,
     DivisorBits,
     _prime_factors,
-    _trial_division,
-    divisor_bits,
+    coprime_bits,
     divisor_count,
     divisors,
+    kept_bits,
+    window_bits,
 )
 from set_reference import membership_sets, solve_sets
 
@@ -53,6 +54,18 @@ def odd_sets(parts, max_terms=12):
     )
 
 
+def base_divisor_count(k, base):
+    """The number of divisors of k that are products of powers of the
+    pairwise coprime base."""
+    count = 1
+    for p in base:
+        e = 0
+        while k % p ** (e + 1) == 0:
+            e += 1
+        count *= e + 1
+    return count
+
+
 class TestDivisorHelpers:
     @pytest.mark.parametrize("k", [1, 3, 9, 15, 45, 105, 3465, 5005, 765765, 1_000_003])
     def test_divisors_match_a_scan(self, k):
@@ -61,48 +74,60 @@ class TestDivisorHelpers:
         assert divisor_count(k) == len(scan)
 
     def test_even_modulus_rejected(self):
-        for fn in (divisors, divisor_count):
+        for fn in (divisors, divisor_count, window_bits):
             with pytest.raises(ValueError):
                 fn(6)
-        with pytest.raises(ValueError):
-            divisor_bits(6, 100)
 
-    def test_factorisation_step_cap(self):
-        assert _prime_factors(765765, 6) == {3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1}
-        assert _prime_factors(765765, 5) is None
-        assert _prime_factors(BIG_PRIME, 100) is None
+    def test_prime_factors(self):
+        assert _prime_factors(765765) == {3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1}
         assert _prime_factors(BIG_PRIME) == {BIG_PRIME: 1}
+        assert _prime_factors(1) == {}
 
-    def test_layout_budget(self):
-        assert sorted(divisor_bits(765765, 7).divisors) == D765765
-        assert divisor_bits(BIG_PRIME, 16) is None
+    def test_layout_refused_only_by_size(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_LAYOUTS", {})
+        assert sorted(coprime_bits(765765, D765765).divisors) == D765765
+        # a large prime costs nothing to a base found by gcds
+        assert coprime_bits(3 * BIG_PRIME, [3, BIG_PRIME]).divisors == (1, 3, BIG_PRIME, 3 * BIG_PRIME)
         wide = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
-        assert divisor_count(wide) > MAX_BIT_DIVISORS
-        assert divisor_bits(wide, 10**6) is None
+        assert coprime_bits(wide, [wide]).divisors == (1, wide)
+        assert coprime_bits(wide, [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]) is None
+        assert kept_bits(wide).divisors == (1, wide)
+        with pytest.raises(ValueError, match="divisors"):
+            divisor_count(wide)
+        # a kept layout of 4096 divisors that new lengths would split into
+        # 13 primes: the lengths' own base is used instead of a refusal
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+        assert len(coprime_bits(wide, list(primes[:11]) + [41 * 43]).divisors) == MAX_BIT_DIVISORS
+        bits = coprime_bits(wide, [43, wide // 43])
+        assert bits.base == (43, wide // 43) and kept_bits(wide) is bits
 
     def test_layout_is_shared(self):
-        assert divisor_bits(3465, 100) is divisor_bits(3465, 100)
+        x = CycleSum.from_lengths([3, 5, 7 << 1, 9 << 2, 11])
+        bits = division.layout(x)[0]
+        assert division.layout(x)[0] is bits is kept_bits(3465)
+        assert division.layout(CycleSum.from_lengths([33, 315]))[0] is bits
 
-    def test_refusal_does_not_depend_on_what_was_built(self):
-        # a layout found again by k is refused exactly when an uncached
-        # factorisation under the same budget would be
-        def builds(k, steps):
-            factors = _prime_factors(k, steps)
-            return factors is not None and math.prod(e + 1 for e in factors.values()) <= MAX_BIT_DIVISORS
+    def test_refusal_does_not_depend_on_what_was_built(self, monkeypatch):
+        # a layout is refused exactly when the coprime base of the operands
+        # has too many divisors, whatever was built or kept for k before
+        def refused(x):
+            k = x.stats()[0]
+            base = lattice.coprime_base(q for _, odd in x.items() for q in odd.lengths)
+            return base_divisor_count(k, base) > MAX_BIT_DIVISORS
 
+        monkeypatch.setattr(lattice, "_LAYOUTS", {})
         rng = random.Random(7)
-        wide = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
-        ks = [3 * 999983, BIG_PRIME, 765765, 1, 3, 9, wide] + [rng.randrange(1, 10**7, 2) for _ in range(60)]
-        for k in ks:
-            lattice._LAYOUTS.pop(k, None)
-            found = _trial_division(k)
-            budgets = {0, 1, 2, found[1] - 1, found[1], found[1] + 1, rng.randrange(2000)}
-            budgets = sorted(steps for steps in budgets if steps >= 0) + [None]
-            for _ in ("before the layout of k is built", "after"):
-                for steps in budgets:
-                    assert (divisor_bits(k, steps) is not None) == builds(k, steps), (k, steps)
-                assert (k in lattice._LAYOUTS) == builds(k, None)
-        assert divisor_bits(3 * 999983, 16) is None
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 999983, BIG_PRIME)
+        for _ in range(60):
+            chosen = rng.sample(primes, rng.randint(1, len(primes)))
+            terms = [math.prod(rng.sample(chosen, rng.randint(1, len(chosen)))) for _ in range(rng.randint(1, 8))]
+            coarse = CycleSum.from_lengths({math.prod(chosen)} | set(terms))
+            fine = CycleSum.from_lengths(chosen)
+            for x in (coarse, fine, coarse, fine + coarse):
+                bits = division.layout(x)[0]
+                assert (bits is ODD_COORDS) == refused(x), x
+                if bits is not ODD_COORDS:
+                    assert bits is kept_bits(x.stats()[0])
         assert len(lattice._LAYOUTS) <= 64
 
 
@@ -162,7 +187,7 @@ class TestLayoutAlgebra:
         assert E >> bits.index[765765] & 1 == bits.parity(E) == e.parity
         # the OddSet operators of the same formulas
         assert (e & f, e ^ f, e & ~f) == (e * f, e + f, e * f.complement())
-        assert bits.holds(e.lengths) and not bits.holds({19})
+        assert all(q in bits.index for q in e.lengths) and 19 not in bits.index
 
 
 class TestSolveDifferential:
@@ -201,14 +226,14 @@ class TestSolveDifferential:
     @settings(max_examples=50, deadline=None)
     @given(cycle_sums([1, 3, BIG_PRIME, 3 * BIG_PRIME], max_terms=3),
            cycle_sums([1, 3, BIG_PRIME, 3 * BIG_PRIME], max_terms=3))
-    def test_large_prime_takes_the_set_path(self, a, x):
+    def test_large_prime_runs_on_masks(self, a, x):
         b = a * x
         sol = division.solve(a, b)
         k = math.lcm(a.stats()[0], b.stats()[0])
-        if k % BIG_PRIME == 0:
-            # the budget of inputs this small: (3 + 1) terms squared, 4 levels
-            assert divisor_bits(k, 4 * 4 * 4) is None
-            assert sol.bits is ODD_COORDS
+        # a layout over 3 and BIG_PRIME, found by gcds: no factoring budget
+        # refuses it, however few terms the operands have
+        assert isinstance(sol.bits, DivisorBits) and sol.bits.k == k
+        assert set(sol.bits.divisors) <= {1, 3, BIG_PRIME, 3 * BIG_PRIME}
         assert sol == solve_sets(a, b, sol.n)
         assert sol.solvable and division.membership(sol, x)
 
@@ -306,7 +331,9 @@ class TestMaskEndpoints:
         def refuse(*args):
             raise AssertionError("membership built a layout")
 
-        monkeypatch.setattr(division, "divisor_bits", refuse)
+        # with no layout kept, a widened layout has to be built
+        monkeypatch.setattr(lattice, "_LAYOUTS", {})
+        monkeypatch.setattr(division, "coprime_bits", refuse)
         assert division.membership(sol, x)
         assert not division.membership(sol, x + CycleSum.single(2 * 15))
         with pytest.raises(AssertionError):
@@ -314,14 +341,15 @@ class TestMaskEndpoints:
             division.membership(sol, x + CycleSum.single(7))
 
     def test_membership_widens_into_a_refused_layout(self):
-        # the solution is held in masks over 3; x brings in a large prime,
-        # and the widened layout over 3 * 999983 is itself refused
+        # the solution is held in masks over 3; x brings in 12 more primes,
+        # and the widened layout over 13 primes (8192 divisors) is refused
         a = CycleSum.single(3)
         sol = division.solve(a, CycleSum.zero())
         assert isinstance(sol.bits, DivisorBits)
-        x = CycleSum.from_lengths([999983, 2999949])
+        primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+        x = CycleSum.from_lengths(list(primes) + [3 * p for p in primes])
         assert division.layout(a, CycleSum.zero(), x)[0] is ODD_COORDS
-        for z in (x, x + CycleSum.single(2 * 999983), CycleSum.single(999983)):
+        for z in (x, x + CycleSum.single(2 * 43), CycleSum.single(43)):
             assert division.membership(sol, z) == membership_sets(sol, z) == (a * z == CycleSum.zero())
         assert division.membership(sol, x)
 

@@ -382,6 +382,24 @@ class TestSemilatticeAlgebra:
             assert a * alg.top == a
 
 
+def closed_form_atom(k, j):
+    """The atom at a divisor j of odd k by its closed form: supported on the
+    divisors l with j | l | m(j), where m(j) raises each prime exponent of
+    j by one, capped at its exponent in k."""
+    m, rest, p = 1, k, 3
+    while rest > 1:
+        kp = 0
+        while rest % p == 0:
+            kp, rest = kp + 1, rest // p
+        jp = 0
+        while kp and j % p ** (jp + 1) == 0:
+            jp += 1
+        m *= p ** min(jp + 1, kp)
+        p += 2
+    lat = divisor_lattice(k)
+    return BoolElem(lat, [l for l in lat.elements if l % j == 0 and m % l == 0])
+
+
 class TestDivisorAtoms:
     def test_c45_table(self):
         expected = {
@@ -424,7 +442,19 @@ class TestDivisorAtoms:
         for k in range(1, 106, 2):
             lat = divisor_lattice(k)
             for j in lat.elements:
-                assert divisor_atom(k, j) == atom_for(lat, j)
+                assert divisor_atom(k, j) == atom_for(lat, j) == closed_form_atom(k, j)
+
+    def test_window_layout_matches_the_closed_form(self):
+        # divisor_atom and divisor_atom_indices read the window layout of k;
+        # the closed form and a scan of the divisors are the reference
+        pairs = 0
+        for k in [*range(1, 1200, 2), 15015, 45045, 765765]:
+            scan = [d for d in range(1, k + 1) if k % d == 0]
+            for j in scan:
+                assert divisor_atom(k, j) == closed_form_atom(k, j), (k, j)
+                assert divisor_atom_indices(k, j) == tuple(d for d in scan if d % j == 0)
+                pairs += 1
+        assert pairs == 2767
 
     def test_absorption_by_divisibility(self):
         for k in range(1, 106, 2):

@@ -406,9 +406,11 @@ class TestEnumeratorsDifferential:
 
 class TestWindowOnTheSolutionLayout:
     """A window on the modulus of the solution's layout lists the stored
-    masks as they are; a window on a proper multiple maps every endpoint
-    into its own layout.  Both list the eager reference's sequence, and
-    the reference solution held as OddSets lists the same."""
+    masks as they are when the solution lies in the window's own layout,
+    and maps them from a coarser layout of that modulus; a window on a
+    proper multiple maps every endpoint into its own layout.  All list the
+    eager reference's sequence, and the reference solution held as
+    OddSets lists the same."""
 
     # (modulus, levels, prime that makes a proper multiple)
     WINDOWS = [(1, 2, 3), (3, 1, 5), (15, 1, 7), (45, 1, 7), (105, 0, 11), (315, 0, 3)]
@@ -532,9 +534,10 @@ class TestSubmasks:
 
 class TestWindowBounds:
     def test_too_many_divisors_fails_before_work(self):
-        assert len(divisors(WIDE)) > MAX_BIT_DIVISORS
-        with pytest.raises(ValueError, match="divisors"):
-            window_bits(WIDE)
+        assert 2 ** 13 > MAX_BIT_DIVISORS  # WIDE is a product of 13 primes
+        for window in (window_bits, divisors):
+            with pytest.raises(ValueError, match="divisors"):
+                window(WIDE)
         sol = solve(CycleSum.single(3), CycleSum.single(3))
         with pytest.raises(ValueError, match="divisors"):
             next(enumerate_restricted(sol, WIDE, 0))

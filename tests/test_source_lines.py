@@ -9,9 +9,16 @@ The per-module call counts of the benchmark's traced runs would then
 differ between two runs of the same queries.
 
 The solvers of ``division``, ``structure`` and ``poly`` choose their
-coordinates in one place: only ``division.layout`` calls
-``divisor_bits``.  A second call site would be a second policy on when a
-layout is worth building.
+coordinates in one place: only ``division.layout`` calls ``kept_bits``
+and ``coprime_bits``.  A second call site would be a second policy on
+when a layout is worth building.
+
+No solver factors k.  A solver layout is built over a coprime base found
+by gcds; only a window, which lists every divisor of k, needs the primes.
+So in ``lattice`` only ``_window_layout``, the builder behind
+``window_bits``, calls ``_prime_factors``, and in
+``division``, ``structure``, ``poly`` and ``chains`` only the window
+enumerators call ``window_bits``, ``divisors`` or ``divisor_count``.
 
 The chain solvers convert each operand to Z-coordinates in one place:
 only the entry points ``divide_chains`` and ``divide_full``, and
@@ -77,16 +84,48 @@ def callers_of(source: str, callee: str) -> list[str]:
     "module, allowed", [("division.py", {"layout"}), ("structure.py", set()), ("poly.py", set())]
 )
 def test_only_layout_builds_a_layout(module, allowed):
-    assert set(callers_of((SRC / "cyclechain" / module).read_text(), "divisor_bits")) <= allowed
+    source = (SRC / "cyclechain" / module).read_text()
+    assert set(callers_of(source, "coprime_bits") + callers_of(source, "kept_bits")) <= allowed
 
 
 def test_the_layout_rule_sees_every_call_site():
     source = (
-        "def layout():\n    return divisor_bits(3)\n"
-        "class S:\n    def f(self):\n        return lattice.divisor_bits(3, 8)\n"
-        "bits = divisor_bits(5)\n"
+        "def layout():\n    return coprime_bits(3, [3])\n"
+        "class S:\n    def f(self):\n        return lattice.coprime_bits(3, [3])\n"
+        "bits = coprime_bits(5, [5])\n"
     )
-    assert callers_of(source, "divisor_bits") == ["layout", "S", "<module>"]
+    assert callers_of(source, "coprime_bits") == ["layout", "S", "<module>"]
+
+
+WINDOW_CODE = {"enumerate_restricted", "divide_full_restricted"}
+FACTORING = ("window_bits", "divisors", "divisor_count")
+
+
+def factoring_callers(source: str, callees: tuple[str, ...]) -> set[str]:
+    """The top-level definitions of source that call one of callees."""
+    return set().union(*(callers_of(source, callee) for callee in callees))
+
+
+@pytest.mark.parametrize("module", ["division.py", "structure.py", "poly.py", "chains.py"])
+def test_only_window_code_factors(module):
+    source = (SRC / "cyclechain" / module).read_text()
+    assert factoring_callers(source, FACTORING) <= WINDOW_CODE
+
+
+def test_only_window_code_calls_the_factoriser():
+    source = (SRC / "cyclechain" / "lattice.py").read_text()
+    assert set(callers_of(source, "_prime_factors")) == {"_window_layout"}
+
+
+def test_the_factoring_rule_flags_a_solver():
+    source = (
+        "def solve(a, b):\n    bits = lattice.window_bits(a.k)\n"
+        "def classify(x):\n    return _prime_factors(x.k)\n"
+        "def green(x, y):\n    return len(divisors(x.k))\n"
+        "def enumerate_restricted(sol, k, n):\n    return window_bits(k)\n"
+    )
+    assert factoring_callers(source, FACTORING) - WINDOW_CODE == {"solve", "green"}
+    assert factoring_callers(source, ("_prime_factors",)) == {"classify"}
 
 
 def test_chain_operands_are_converted_once():
