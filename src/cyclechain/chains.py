@@ -453,7 +453,7 @@ def divide_full_restricted(
         for eps in (0, 1):
             factors.append(lambda c=branch.chains[eps]: c.members(max_height))
         for *levels, xe, xo in lazy_product(factors):
-            xc = CycleSum._make({i: odd for i, odd in enumerate(levels) if odd})
+            xc = CycleSum._of([(i, odd) for i, odd in enumerate(levels) if odd])
             x = Element(chains=xe + xo, cycles=xc)
             if a * x != b:
                 raise RuntimeError(

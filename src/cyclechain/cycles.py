@@ -18,6 +18,18 @@ from typing import Iterable, Iterator, Mapping
 from .formal import FormalSum, ProductRule
 
 
+def _lcm_pairs(acc: set[int], xs: Iterable[int], ys: Iterable[int], lcm=math.lcm) -> set[int]:
+    """Toggle lcm(a, b) in acc for each a in xs, b in ys: the lcm-convolution
+    of odd lengths, whose gcds are odd, so only mod-2 cancellation matters."""
+    for a in xs:
+        for b in ys:
+            if (q := lcm(a, b)) in acc:
+                acc.remove(q)
+            else:
+                acc.add(q)
+    return acc
+
+
 def split_length(q: int) -> tuple[int, int]:
     """Return (dyadic level, odd part) of a positive cycle length."""
     if q < 1:
@@ -64,13 +76,7 @@ class OddSet:
         return OddSet._make(self.lengths ^ other.lengths)
 
     def __mul__(self, other: "OddSet") -> "OddSet":
-        # lcm-convolution; the gcd of two odd numbers is odd, so every
-        # pair survives and only mod-2 cancellation matters.
-        acc: set[int] = set()
-        for a in self.lengths:
-            for b in other.lengths:
-                acc ^= {math.lcm(a, b)}
-        return OddSet._make(frozenset(acc))
+        return OddSet._make(frozenset(_lcm_pairs(set(), self.lengths, other.lengths)))
 
     def __or__(self, other: "OddSet") -> "OddSet":
         """Lattice join: e | f = e + f + e*f."""
@@ -146,8 +152,13 @@ class CycleSum:
 
     @classmethod
     def _make(cls, normal: dict[int, OddSet]) -> "CycleSum":
+        return cls._of(sorted(normal.items()))
+
+    @classmethod
+    def _of(cls, levels: Iterable[tuple[int, OddSet]]) -> "CycleSum":
+        """Wrap (level, odd part) pairs, ascending with no empty level, unchecked."""
         out = cls.__new__(cls)
-        out._levels = tuple(sorted(normal.items()))
+        out._levels = tuple(levels)
         return out
 
     @classmethod
@@ -223,30 +234,29 @@ class CycleSum:
         return CycleSum._make(acc)
 
     def __mul__(self, other: "CycleSum") -> "CycleSum":
-        # z_0 = x_0 y_0 and z_i = x_0 y_i + x_i y_0: products of two
-        # even-length cycles vanish, so only the level-0 parts spread.
-        x0 = self.level(0)
-        y0 = other.level(0)
-        acc: dict[int, OddSet] = {}
-        z0 = x0 * y0
-        if z0:
-            acc[0] = z0
-        for i, xi in self._levels:
-            if i == 0:
-                continue
-            zi = xi * y0
-            if zi:
-                acc[i] = zi
-        for i, yi in other._levels:
-            if i == 0:
-                continue
-            zi = x0 * yi
-            merged = acc.get(i, ODD_ZERO) + zi
-            if merged:
-                acc[i] = merged
-            else:
-                acc.pop(i, None)
-        return CycleSum._make(acc)
+        """z_0 = x_0·y_0 and z_i = x_0·y_i + x_i·y_0 for i >= 1, each level
+        built once: one walk over the ascending levels takes x_i·y_0 at every
+        level of x and x_0·y_i above level 0.  Two even-length cycles multiply
+        to 0, so a zero operand, or no level-0 part on either side, gives 0."""
+        xs, ys = self._levels, other._levels
+        if not xs or not ys or (xs[0][0] and ys[0][0]):
+            return _ZERO
+        x0 = () if xs[0][0] else xs[0][1].lengths
+        y0 = () if ys[0][0] else ys[0][1].lengths
+        xs = xs if y0 else ()
+        ys = ys[bool(y0):] if x0 else ()
+        out = []
+        i = j = 0
+        while i < len(xs) or j < len(ys):
+            lx = xs[i][0] if i < len(xs) else math.inf
+            ly = ys[j][0] if j < len(ys) else math.inf
+            acc = _lcm_pairs(set(), xs[i][1].lengths, y0) if lx <= ly else set()
+            if ly <= lx:
+                _lcm_pairs(acc, x0, ys[j][1].lengths)
+            i, j = i + (lx <= ly), j + (ly <= lx)
+            if acc:
+                out.append((min(lx, ly), OddSet._make(frozenset(acc))))
+        return CycleSum._of(out)
 
     def __pow__(self, n: int) -> "CycleSum":
         if n < 0:

@@ -350,7 +350,7 @@ def enumerate_restricted(
         raise ValueError("level bound below the inputs' own levels")
 
     for levels in lazy_product(level_factors(sol, window_bits(k), n)):
-        x = CycleSum._make({i: odd for i, odd in enumerate(levels) if odd})
+        x = CycleSum._of([(i, odd) for i, odd in enumerate(levels) if odd])
         if sol.a * x != sol.b:
             raise RuntimeError(
                 f"internal error: candidate {x} fails verification"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cyclechain.chains import ChainSum, Element
-from cyclechain.cycles import CycleSum
+from cyclechain.cycles import CycleSum, OddSet
 
 
 def rand_cycles(rng, parts=(1, 3, 5, 15), levels=2, terms=3):
@@ -29,6 +29,22 @@ def rand_element(rng, parts=(1, 3, 5, 15), levels=2, cycle_terms=3, max_chain=6,
         chains=rand_chains(rng, max_chain, chain_terms),
         cycles=rand_cycles(rng, parts, levels, cycle_terms),
     )
+
+
+def assert_canonical(x: CycleSum) -> None:
+    """x is held as the checked constructor holds it: a tuple of (level,
+    OddSet) pairs, levels strictly ascending, no empty level, odd lengths;
+    and it equals and hashes like its own lengths built anew."""
+    assert type(x._levels) is tuple
+    levels = [i for i, _ in x._levels]
+    assert levels == sorted(set(levels)) and all(i >= 0 for i in levels)
+    for pair in x._levels:
+        assert type(pair) is tuple and len(pair) == 2
+        odd = pair[1]
+        assert type(odd) is OddSet and type(odd.lengths) is frozenset and odd.lengths
+        assert all(q > 0 and q % 2 for q in odd.lengths)
+    rebuilt = CycleSum.from_lengths(x.lengths())
+    assert x == rebuilt and hash(x) == hash(rebuilt)
 
 
 @pytest.fixture

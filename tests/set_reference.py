@@ -7,9 +7,12 @@ interface that ``division``, ``structure`` and ``poly`` run on.  The
 differential tests compare the solvers with these, value for value,
 generators, witnesses and reason texts included.  ``chain_mul_pairs``
 multiplies chain sums chain by chain, where ``ChainSum.__mul__`` sweeps
-the Z-coordinates.
+the Z-coordinates.  ``cycle_mul_pairs`` multiplies cycle sums by two loops
+over the levels merged in a dict, where ``CycleSum.__mul__`` builds each
+output level once.
 """
 
+import math
 from typing import Optional
 
 from cyclechain.chains import ChainSum
@@ -37,6 +40,42 @@ def chain_mul_pairs(a: ChainSum, b: ChainSum) -> ChainSum:
             if (e ^ d) & 1 == 0:
                 acc ^= {min(e, d)}
     return ChainSum(acc)
+
+
+def odd_mul_pairs(a: OddSet, b: OddSet) -> OddSet:
+    """``OddSet.__mul__`` by its own pair loop: the lcm-convolution mod 2."""
+    acc: set[int] = set()
+    for p in a.lengths:
+        for q in b.lengths:
+            acc ^= {math.lcm(p, q)}
+    return OddSet(acc)
+
+
+def cycle_mul_pairs(x: CycleSum, y: CycleSum) -> CycleSum:
+    """``CycleSum.__mul__`` by two loops over the levels: z_0 = x_0 y_0 and
+    z_i = x_0 y_i + x_i y_0, the y-terms merged into the x-terms in a dict
+    and the result built by the checked constructor."""
+    x0 = x.level(0)
+    y0 = y.level(0)
+    acc: dict[int, OddSet] = {}
+    z0 = odd_mul_pairs(x0, y0)
+    if z0:
+        acc[0] = z0
+    for i, xi in x.items():
+        if i == 0:
+            continue
+        zi = odd_mul_pairs(xi, y0)
+        if zi:
+            acc[i] = zi
+    for i, yi in y.items():
+        if i == 0:
+            continue
+        merged = acc.get(i, ODD_ZERO) + odd_mul_pairs(x0, yi)
+        if merged:
+            acc[i] = merged
+        else:
+            acc.pop(i, None)
+    return CycleSum(acc)
 
 
 def solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:

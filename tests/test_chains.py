@@ -22,12 +22,13 @@ from cyclechain.chains import (
     to_orthogonal,
 )
 from cyclechain.cycles import CycleSum, OddSet
-from cyclechain.lattice import ones, submasks
+from cyclechain.lattice import divisors, ones, submasks
 
-from conftest import rand_cycles, rand_element
+from conftest import rand_cycles, rand_element, rand_unit
 from set_reference import chain_mul_pairs
 
 C = CycleSum.single
+DIVS_765765 = divisors(765765)
 
 
 def L(*ds):
@@ -99,18 +100,30 @@ class TestChainProducts:
 
     def test_closed_operations_skip_the_constructor_checks(self, monkeypatch, rng):
         pairs = [(rand_element(rng), rand_element(rng)) for _ in range(100)]
+        # wide operands through the shared lcm pair loop: levels 0-6, odd
+        # parts from 765765, units and nilpotents among them
+        wide = [
+            (rand_cycles(rng, DIVS_765765, 6, 12), rand_unit(rng, DIVS_765765, 6, 6))
+            for _ in range(50)
+        ]
+        wide += [(x, x.even_part) for x, _ in wide]
 
         def refuse(self, *args):
             raise AssertionError("a closed result went through the checked constructor")
 
         monkeypatch.setattr(OddSet, "__init__", refuse)
         monkeypatch.setattr(ChainSum, "__init__", refuse)
+        monkeypatch.setattr(CycleSum, "__init__", refuse)
         for x, y in pairs:
             for u, v in ((x, y), (x.chains, y.chains), (x.cycles, y.cycles)):
                 assert u * v == v * u and u + v == v + u
             u, v = x.cycles.odd_part, y.cycles.odd_part
             assert u * v == v * u and u + v == v + u
             assert from_orthogonal(to_orthogonal(x.chains.parity_part(1), 1), 1) == x.chains.parity_part(1)
+        for x, y in wide:
+            assert x * y == y * x and x ** 3 == x * x * x
+            u, v = x.odd_part, y.odd_part
+            assert u * v == v * u and (u | v) == (v | u)
 
     def test_ring_laws(self, rng):
         for _ in range(500):

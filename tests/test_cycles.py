@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,11 @@ from cyclechain.cycles import (
     mul_cycles,
 )
 
-from conftest import rand_cycles
+from cyclechain import oracle
+from cyclechain.chains import Element
+from cyclechain.lattice import divisors
+from conftest import assert_canonical, rand_cycles
+from set_reference import cycle_mul_pairs
 
 C = CycleSum.single
 
@@ -75,6 +81,72 @@ class TestMul:
                 for r in y.lengths():
                     expanded = expanded + mul_cycles(q, r)
             assert x * y == expanded
+
+
+D765765 = divisors(765765)
+# odd parts built from two primes near 10**6 and a few small ones
+P, Q = 999_983, 1_000_003
+TWO_PRIMES = [a * b for a in (1, 3, 5, 15) for b in (1, P, Q, P * Q)]
+KINDS = ("zero", "nilpotent", "idempotent", "unit", "general")
+
+
+def draw(rng: random.Random, kind: str, parts: list[int]) -> CycleSum:
+    """A cycle sum of the given kind: nilpotent has no level-0 part,
+    idempotent only a level-0 part, unit is C1 plus an even part; levels
+    run 0-6 and odd parts come from parts."""
+    if kind == "zero":
+        return CycleSum.zero()
+    terms = [rng.choice(parts) for _ in range(rng.randint(1, 12))]
+    if kind == "idempotent":
+        return CycleSum.from_lengths(terms)
+    low = 0 if kind == "general" else 1
+    even = [q << rng.randint(low, 6) for q in terms]
+    return CycleSum.from_lengths([1] + even if kind == "unit" else even)
+
+
+class TestProductDifferential:
+    """``CycleSum.__mul__`` builds each output level once; the two-loop
+    product it replaced is ``set_reference.cycle_mul_pairs``."""
+
+    def pairs(self, rng, rounds):
+        for _ in range(rounds):
+            for parts in (D765765, TWO_PRIMES):
+                for kx in KINDS:
+                    for ky in KINDS:
+                        yield draw(rng, kx, parts), draw(rng, ky, parts)
+
+    def test_matches_the_two_loop_product(self):
+        rng = random.Random(18)
+        n = 0
+        for x, y in self.pairs(rng, 110):
+            z = x * y
+            assert z == cycle_mul_pairs(x, y), (str(x), str(y))
+            assert_canonical(z)
+            n += 1
+        assert n >= 5000
+
+    def test_zero_and_nilpotent_products_vanish(self):
+        rng = random.Random(19)
+        for x, y in self.pairs(rng, 20):
+            if not x or not y or (not x.odd_part and not y.odd_part):
+                assert (x * y) is CycleSum.zero()
+
+    def test_powers_match_repeated_products(self):
+        rng = random.Random(20)
+        for x, _ in self.pairs(rng, 2):
+            want = CycleSum.one()
+            for n in range(6):
+                assert x ** n == want
+                assert_canonical(x ** n)
+                want = cycle_mul_pairs(want, x)
+
+    def test_matches_the_oracle(self):
+        rng = random.Random(21)
+        pairs = list(self.pairs(rng, 6))[:300]
+        assert len(pairs) == 300
+        for x, y in pairs:
+            want = oracle.oracle_mul(Element.from_cycles(x), Element.from_cycles(y))
+            assert x * y == want.cycles and not want.chains
 
 
 class TestParts:

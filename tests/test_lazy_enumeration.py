@@ -50,6 +50,7 @@ from cyclechain.lattice import (
     window_bits,
 )
 from cyclechain.poly import CubicPoly, eval_poly, is_reachable
+from conftest import assert_canonical
 from set_reference import solve_sets
 
 WIDE = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
@@ -445,6 +446,54 @@ class TestWindowOnTheSolutionLayout:
         assume(sol is None or small_window(sol, k, max_level))
         mine = take(divide_full_restricted(a, b, k, max_level=max_level, max_height=max_height))
         assert mine == take(ref_divide_full_restricted(a, b, k, max_level, max_height))
+
+
+class TestCanonicalCandidates:
+    """Every candidate is built straight from its ascending levels, so it
+    must come out as the checked constructor would hold it.  The shapes are
+    the benchmark's enumeration windows; order and values match the eager
+    reference."""
+
+    @staticmethod
+    def rand_sum(rng, divs, terms, levels):
+        return CycleSum.from_lengths(rng.choice(divs) << rng.randint(0, levels) for _ in range(terms))
+
+    @pytest.mark.parametrize("k", [15, 105, 1155, 3465, 5005])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_windows(self, k, n):
+        rng = random.Random(k * 3 + n)
+        divs = divisors(k)
+        checked = 0
+        while checked < 10:
+            a = self.rand_sum(rng, divs, rng.randint(4, 10), n)
+            b = a * self.rand_sum(rng, divs, rng.randint(1, 4), n)
+            sol = solve(a, b)
+            if not small_window(sol, k, n):
+                continue
+            mine = take(enumerate_restricted(sol, k, n), 64)
+            for x in mine:
+                assert_canonical(x)
+            assert mine == take(ref_enumerate_restricted(sol, k, n), 64)
+            checked += 1
+
+    @pytest.mark.parametrize("h", [8, 12, 16, 20, 24])
+    def test_mixed_windows(self, h):
+        rng = random.Random(h)
+        divs = divisors(3)
+        for _ in range(10):
+            a = Element(
+                chains=ChainSum([3, 4, rng.randint(1, 2)]),
+                cycles=self.rand_sum(rng, divs, rng.randint(1, 3), 1),
+            )
+            x = Element(
+                chains=ChainSum(rng.randint(1, h) for _ in range(rng.randint(0, 3))),
+                cycles=self.rand_sum(rng, divs, rng.randint(0, 2), 1),
+            )
+            mine = take(divide_full_restricted(a, a * x, 3, max_level=1, max_height=h), 64)
+            assert x in mine or len(mine) == 64
+            for y in mine:
+                assert_canonical(y.cycles)
+            assert mine == take(ref_divide_full_restricted(a, a * x, 3, 1, h), 64)
 
 
 class TestReachability:
