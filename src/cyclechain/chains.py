@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cycles import CycleSum, OddSet
+from .cycles import CycleSum, level_lengths, odd_cycle_parity
 from .division import (
     IntervalSolutionSet,
     check_window,
@@ -186,8 +186,8 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         # chains see cycles only through the parity of odd-length cycles
-        ta = self.cycles.odd_part.parity
-        tb = other.cycles.odd_part.parity
+        ta = odd_cycle_parity(self.cycles)
+        tb = odd_cycle_parity(other.cycles)
         chains = self.chains * other.chains
         if tb:
             chains = chains + self.chains
@@ -214,11 +214,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({str(self)!r})"
-
-
-def odd_cycle_parity(x: CycleSum) -> int:
-    """Parity of the number of odd-length cycles: how x scales any chain."""
-    return x.odd_part.parity
 
 
 @dataclass(frozen=True)
@@ -396,22 +391,23 @@ def divide_full(a: Element, b: Element) -> CombinedSolutionSet:
     return CombinedSolutionSet(a=a, b=b, branches=tuple(branches))
 
 
-def _subsets(divs: list[int], t: Optional[int]) -> Iterator[OddSet]:
-    """Every OddSet over divs, by a choice counter whose bit i picks
-    divs[i]; only those of support parity t unless t is None."""
+def _subsets(divs: tuple[int, ...], t: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Every subset of the ascending divs, ascending, by a choice counter
+    whose bit i picks divs[i]; only those of size parity t unless t is None."""
     for c in submasks(0, range(len(divs))):
         if t is None or c.bit_count() & 1 == t:
-            yield OddSet._make(frozenset(divs[i] for i in ones(c)))
+            yield tuple(divs[i] for i in ones(c))
 
 
 def _cycle_factors(
     branch: CycleBranch, bits: DivisorBits, max_level: int
-) -> list[Callable[[], Iterator[OddSet]]]:
-    """One factor per cycle level 0..max_level for ``lazy_product``; an
-    empty list when no cycle part of the branch fits the window."""
+) -> list[Callable[[], Iterator[tuple[int, ...]]]]:
+    """One factor per cycle level 0..max_level for ``lazy_product``, whose
+    members are the raw lengths of that level; an empty list when no cycle
+    part of the branch fits the window."""
     if branch.free:
-        divs = sorted(bits.divisors)
-        return [partial(_subsets, divs, branch.t)] + [partial(_subsets, divs, None)] * max_level
+        levels = [level_lengths(i, bits.divisors) for i in range(max_level + 1)]
+        return [partial(_subsets, ls, None if i else branch.t) for i, ls in enumerate(levels)]
     sol = branch.sol
     if sol is None or not sol.solvable:
         return []
@@ -453,7 +449,7 @@ def divide_full_restricted(
         for eps in (0, 1):
             factors.append(lambda c=branch.chains[eps]: c.members(max_height))
         for *levels, xe, xo in lazy_product(factors):
-            xc = CycleSum._of([(i, odd) for i, odd in enumerate(levels) if odd])
+            xc = CycleSum._of([(i, ls) for i, ls in enumerate(levels) if ls])
             x = Element(chains=xe + xo, cycles=xc)
             if a * x != b:
                 raise RuntimeError(

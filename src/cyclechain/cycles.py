@@ -1,9 +1,9 @@
 """Exact arithmetic for sums of cycles counted modulo 2.
 
-A cycle of length q = 2**i * q' (q' odd) is stored in (level, odd part)
-coordinates: level i, odd part q'.  An element is a finite sum of distinct
-cycles; addition is symmetric difference of supports and the product of two
-single cycles is C_lcm when their gcd is odd and 0 otherwise.
+A cycle of length q = 2**i * q' (q' odd) has dyadic level i and odd part
+q'.  An element is a finite sum of distinct cycles; addition is symmetric
+difference of supports and the product of two single cycles is C_lcm when
+their gcd is odd and 0 otherwise.
 
 Sums of odd-length cycles are exactly the idempotents; they carry a Boolean
 lattice structure (meet = product, join e|f = e + f + e*f, complement
@@ -28,6 +28,23 @@ def _lcm_pairs(acc: set[int], xs: Iterable[int], ys: Iterable[int], lcm=math.lcm
             else:
                 acc.add(q)
     return acc
+
+
+def level_lengths(i: int, odds: Iterable[int]) -> tuple[int, ...]:
+    """The lengths 2**i * q over the distinct odd parts q, ascending: the
+    form in which a cycle sum holds its level i."""
+    return tuple(sorted([q << i for q in odds] if i else odds))
+
+
+def _toggled(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+    """The symmetric difference of two ascending tuples, by one merge."""
+    out, i, j = [], 0, 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x != y:
+            out.append(x if x < y else y)
+        i, j = i + (x <= y), j + (y <= x)
+    return (*out, *xs[i:], *ys[j:])
 
 
 def split_length(q: int) -> tuple[int, int]:
@@ -107,7 +124,7 @@ class OddSet:
         """Lift to a cycle sum with every length multiplied by 2**level."""
         if not self.lengths:
             return CycleSum.zero()
-        return CycleSum._make({level: self})
+        return CycleSum._of([(level, level_lengths(level, self.lengths))])
 
     def __str__(self) -> str:
         if not self.lengths:
@@ -125,38 +142,26 @@ ODD_ONE = OddSet([1])
 class CycleSum:
     """A finite sum of distinct cycles, held per dyadic level.
 
-    ``levels`` maps i to the (nonempty) odd parts of the lengths whose
-    dyadic valuation is i; the represented element is the sum of all
-    cycles of length 2**i * q' over the stored pairs.
+    ``_levels`` holds one (i, lengths) pair per nonempty level i, levels
+    ascending: the raw lengths 2**i * q' of valuation i, as an ascending
+    tuple.  ``items``, ``level`` and the other views give a level as the
+    ``OddSet`` of its odd parts q', built when asked for.
     """
 
     __slots__ = ("_levels",)
 
     def __init__(self, levels: Mapping[int, OddSet | Iterable[int]] = ()):
-        normal: dict[int, OddSet] = {}
+        lengths: list[int] = []
         items = levels.items() if isinstance(levels, Mapping) else levels
         for i, odd in items:
             if i < 0:
                 raise ValueError(f"level must be >= 0, got {i}")
-            odd = odd if isinstance(odd, OddSet) else OddSet(odd)
-            if odd:
-                prev = normal.get(i, ODD_ZERO)
-                merged = prev + odd
-                if merged:
-                    normal[i] = merged
-                else:
-                    normal.pop(i, None)
-        self._levels: tuple[tuple[int, OddSet], ...] = tuple(
-            sorted(normal.items())
-        )
+            lengths += [q << i for q in OddSet(odd)]
+        self._levels = CycleSum.from_lengths(lengths)._levels
 
     @classmethod
-    def _make(cls, normal: dict[int, OddSet]) -> "CycleSum":
-        return cls._of(sorted(normal.items()))
-
-    @classmethod
-    def _of(cls, levels: Iterable[tuple[int, OddSet]]) -> "CycleSum":
-        """Wrap (level, odd part) pairs, ascending with no empty level, unchecked."""
+    def _of(cls, levels: Iterable[tuple[int, tuple[int, ...]]]) -> "CycleSum":
+        """Wrap pairs in the form ``raw_levels`` gives, unchecked."""
         out = cls.__new__(cls)
         out._levels = tuple(levels)
         return out
@@ -172,12 +177,11 @@ class CycleSum:
     @classmethod
     def single(cls, q: int) -> "CycleSum":
         """The cycle of length q."""
-        i, odd = split_length(q)
-        return cls._make({i: OddSet([odd])})
+        return cls._of([(split_length(q)[0], (q,))])
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "CycleSum":
-        """Build from a multiset of lengths, keeping odd multiplicities."""
+        """Build from a multiset of lengths, keeping odd multiplicities and the ints given."""
         ls = list(lengths)
         if ls and min(ls) < 1:
             q = next(q for q in ls if q < 1)
@@ -187,32 +191,29 @@ class CycleSum:
             support = set()
             for q in ls:
                 support ^= {q}
-        # odd parts grouped in sets: a frozenset copied from a set gets a
-        # smaller table than one built from a list
-        grouped: dict[int, set[int]] = {}
-        for q in support:
-            level = (q & -q).bit_length() - 1
-            odds = grouped.get(level)
-            if odds is None:
-                grouped[level] = {q >> level}
-            else:
-                odds.add(q >> level)
-        return cls._make({i: OddSet._make(frozenset(odds)) for i, odds in grouped.items()})
+        grouped: dict[int, list[int]] = {}
+        for q in sorted(support):
+            grouped.setdefault((q & -q).bit_length() - 1, []).append(q)
+        return cls._of((i, tuple(qs)) for i, qs in sorted(grouped.items()))
 
     def level(self, i: int) -> OddSet:
         """The idempotent at dyadic level i (empty when absent)."""
-        for j, odd in self._levels:
+        for j, ls in self._levels:
             if j == i:
-                return odd
+                return OddSet._make(frozenset([q >> i for q in ls] if i else ls))
         return ODD_ZERO
 
     def items(self) -> tuple[tuple[int, OddSet], ...]:
+        return tuple((i, self.level(i)) for i, _ in self._levels)
+
+    def raw_levels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The (i, ascending raw lengths 2**i * q') pair of each nonempty
+        level i, ascending: the form the sum is held in."""
         return self._levels
 
     def lengths(self) -> tuple[int, ...]:
         """All raw cycle lengths of the support, ascending."""
-        out = [q << i for i, odd in self._levels for q in odd.lengths]
-        return tuple(sorted(out))
+        return tuple(sorted(q for _, ls in self._levels for q in ls))
 
     def __bool__(self) -> bool:
         return bool(self._levels)
@@ -225,24 +226,21 @@ class CycleSum:
 
     def __add__(self, other: "CycleSum") -> "CycleSum":
         acc = dict(self._levels)
-        for i, odd in other._levels:
-            merged = acc.get(i, ODD_ZERO) + odd
-            if merged:
-                acc[i] = merged
-            else:
-                acc.pop(i, None)
-        return CycleSum._make(acc)
+        for i, ls in other._levels:
+            acc[i] = _toggled(acc[i], ls) if i in acc else ls
+        return CycleSum._of(sorted(pair for pair in acc.items() if pair[1]))
 
     def __mul__(self, other: "CycleSum") -> "CycleSum":
         """z_0 = x_0·y_0 and z_i = x_0·y_i + x_i·y_0 for i >= 1, each level
         built once: one walk over the ascending levels takes x_i·y_0 at every
         level of x and x_0·y_i above level 0.  Two even-length cycles multiply
-        to 0, so a zero operand, or no level-0 part on either side, gives 0."""
+        to 0, so a zero operand, or no level-0 part on either side, gives 0.
+        Raw lengths multiply as held: lcm(2**i * q, r) = 2**i * lcm(q, r), r odd."""
         xs, ys = self._levels, other._levels
         if not xs or not ys or (xs[0][0] and ys[0][0]):
             return _ZERO
-        x0 = () if xs[0][0] else xs[0][1].lengths
-        y0 = () if ys[0][0] else ys[0][1].lengths
+        x0 = () if xs[0][0] else xs[0][1]
+        y0 = () if ys[0][0] else ys[0][1]
         xs = xs if y0 else ()
         ys = ys[bool(y0):] if x0 else ()
         out = []
@@ -250,12 +248,12 @@ class CycleSum:
         while i < len(xs) or j < len(ys):
             lx = xs[i][0] if i < len(xs) else math.inf
             ly = ys[j][0] if j < len(ys) else math.inf
-            acc = _lcm_pairs(set(), xs[i][1].lengths, y0) if lx <= ly else set()
+            acc = _lcm_pairs(set(), xs[i][1], y0) if lx <= ly else set()
             if ly <= lx:
-                _lcm_pairs(acc, x0, ys[j][1].lengths)
+                _lcm_pairs(acc, x0, ys[j][1])
             i, j = i + (lx <= ly), j + (ly <= lx)
             if acc:
-                out.append((min(lx, ly), OddSet._make(frozenset(acc))))
+                out.append((min(lx, ly), tuple(sorted(acc))))
         return CycleSum._of(out)
 
     def __pow__(self, n: int) -> "CycleSum":
@@ -274,13 +272,13 @@ class CycleSum:
     @property
     def even_part(self) -> "CycleSum":
         """Everything above level 0."""
-        return CycleSum._make({i: odd for i, odd in self._levels if i > 0})
+        return CycleSum._of([pair for pair in self._levels if pair[0]])
 
     @property
     def plus_closure(self) -> OddSet:
         """Join of all level components: the least idempotent fixing self."""
         out = ODD_ZERO
-        for _, odd in self._levels:
+        for _, odd in self.items():
             out = out | odd
         return out
 
@@ -289,9 +287,9 @@ class CycleSum:
         if not self._levels:
             return (1, 0)
         k = 1
-        for _, odd in self._levels:
-            k = math.lcm(k, *odd.lengths)
-        return (k, self._levels[-1][0])
+        for top, ls in self._levels:
+            k = math.lcm(k, *ls)
+        return (k >> top, top)
 
     @property
     def max_level(self) -> int:
@@ -301,18 +299,16 @@ class CycleSum:
         """Drop all cycles at dyadic level above n."""
         if n < 0:
             raise ValueError("level bound must be >= 0")
-        return CycleSum._make({i: odd for i, odd in self._levels if i <= n})
+        return CycleSum._of([pair for pair in self._levels if pair[0] <= n])
 
     def restrict_div(self, k: int) -> "CycleSum":
         """Keep only cycles whose odd part divides k (k odd)."""
         if k < 1 or k % 2 == 0:
             raise ValueError(f"odd modulus required, got {k}")
-        acc: dict[int, OddSet] = {}
-        for i, odd in self._levels:
-            kept = OddSet(q for q in odd.lengths if k % q == 0)
-            if kept:
-                acc[i] = kept
-        return CycleSum._make(acc)
+        return CycleSum._of(
+            (i, kept) for i, ls in self._levels
+            if (kept := tuple(q for q in ls if (k << i) % q == 0))
+        )
 
     @property
     def is_idempotent(self) -> bool:
@@ -327,8 +323,14 @@ class CycleSum:
         return f"CycleSum({str(self)!r})"
 
 
-_ZERO = CycleSum._make({})
-_ONE = CycleSum._make({0: ODD_ONE})
+_ZERO = CycleSum._of(())
+_ONE = CycleSum._of([(0, (1,))])
+
+
+def odd_cycle_parity(x: CycleSum) -> int:
+    """Parity of the number of odd-length cycles: how x scales any chain."""
+    levels = x._levels
+    return len(levels[0][1]) & 1 if levels and not levels[0][0] else 0
 
 
 def mul_cycles(m: int, n: int) -> CycleSum:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
+from .cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet, level_lengths, split_length
 from .lattice import DivisorBits, coprime_bits, kept_bits, window_bits
 
 T = TypeVar("T")
@@ -32,7 +32,8 @@ _END = object()
 
 class OddCoords:
     """The coordinates of refused layouts: each idempotent is its own
-    ``OddSet``, whose operators are those of the masks."""
+    ``OddSet``, whose operators are those of the masks; cycle-sum levels
+    are read and given as ``DivisorBits`` does."""
 
     __slots__ = ()
     k = None
@@ -40,12 +41,12 @@ class OddCoords:
     top = ODD_ONE
 
     @staticmethod
-    def encode(lengths: frozenset[int]) -> OddSet:
-        return OddSet._make(frozenset(lengths))
+    def encode(lengths: Iterable[int]) -> OddSet:
+        return OddSet._make(frozenset(split_length(q)[1] for q in lengths))
 
     @staticmethod
-    def decode(x: OddSet) -> frozenset[int]:
-        return x.lengths
+    def decode(x: OddSet, level: int = 0) -> tuple[int, ...]:
+        return level_lengths(level, x.lengths)
 
     @staticmethod
     def parity(x: OddSet) -> int:
@@ -180,14 +181,14 @@ def layout(*xs: CycleSum) -> tuple[Coords, list[dict], int]:
             return bits, [encoded(bits, x) for x in xs], n
         except KeyError:  # a length that the kept layout does not hold
             pass
-    bits = coprime_bits(k, [q for x in xs for _, odd in x.items() for q in odd.lengths]) or ODD_COORDS
+    bits = coprime_bits(k, [q >> i for x in xs for i, ls in x.raw_levels() for q in ls]) or ODD_COORDS
     return bits, [encoded(bits, x) for x in xs], n
 
 
 def encoded(bits: Coords, x: CycleSum) -> dict:
-    """The level coordinates of x in ``bits``; KeyError for an odd part
-    that the layout does not hold."""
-    return {i: bits.encode(odd.lengths) for i, odd in x.items()}
+    """The level coordinates of x in ``bits``, each level encoded as x
+    holds it; KeyError for an odd part that the layout does not hold."""
+    return {i: bits.encode(ls) for i, ls in x.raw_levels()}
 
 
 def decoded(bits: Coords, x) -> OddSet:
@@ -203,7 +204,7 @@ def split(bits: Coords, X: dict) -> tuple:
 
 def decoded_sum(bits: Coords, X: dict) -> CycleSum:
     """The cycle sum with level coordinates X in ``bits``."""
-    return CycleSum._make({i: decoded(bits, m) for i, m in X.items() if m})
+    return CycleSum._of([(i, bits.decode(m, i)) for i, m in sorted(X.items()) if m])
 
 
 def min_solution(sol: IntervalSolutionSet) -> CycleSum:
@@ -211,7 +212,7 @@ def min_solution(sol: IntervalSolutionSet) -> CycleSum:
     if not sol.solvable:
         raise ValueError("equation has no solution")
     lows = (sol.level_coords(i)[0] for i in range(sol.n + 1))
-    return CycleSum._make({i: sol._odd(lo) for i, lo in enumerate(lows) if lo})
+    return decoded_sum(sol.bits, dict(enumerate(lows)))
 
 
 def membership(sol: IntervalSolutionSet, x: CycleSum) -> bool:
@@ -293,11 +294,11 @@ def lazy_product(factors: Sequence[Callable[[], Iterator[T]]]) -> Iterator[tuple
 
 
 def odd_members(
-    bits: DivisorBits, x: int, y: int, t: Optional[int] = None
-) -> Callable[[], Iterator[OddSet]]:
+    bits: DivisorBits, x: int, y: int, t: Optional[int] = None, level: int = 0
+) -> Callable[[], Iterator[tuple[int, ...]]]:
     """A factor for ``lazy_product``: the members of the interval between
-    the masks x and y of the atom coordinates ``bits``, as OddSets; with t,
-    only those of support-size parity t.
+    the masks x and y of the atom coordinates ``bits``, each as a cycle sum
+    holds it at ``level``; with t, only those of support-size parity t.
 
     The parity is the bit at j = k.  It is the largest divisor, so the
     last free atom, and fixing it keeps the order of the other members.
@@ -305,15 +306,15 @@ def odd_members(
     if t is not None:
         parity = 1 << bits.index[bits.k]
         x, y = (x | parity, y) if t else (x, y & ~parity)
-    return lambda: (OddSet._make(frozenset(bits.decode(m))) for m in bits.members(x, y))
+    return lambda: (bits.decode(m, level) for m in bits.members(x, y))
 
 
 def level_factors(
     sol: IntervalSolutionSet, bits: DivisorBits, n: int, t: Optional[int] = None
-) -> list[Callable[[], Iterator[OddSet]]]:
-    """One ``odd_members`` factor per level 0..n of a solvable ``sol``,
-    listed in the window layout ``bits``; at level 0, with t, only the
-    members of support-size parity t.
+) -> list[Callable[[], Iterator[tuple[int, ...]]]]:
+    """One ``odd_members`` factor per level 0..n of a solvable ``sol``, its
+    members the level's raw lengths, listed in the window layout ``bits``;
+    at level 0, with t, only the members of support-size parity t.
 
     The stored masks serve as they are when ``bits`` is the solution's own
     layout; otherwise, a coarser layout of the same k too, each endpoint
@@ -328,7 +329,7 @@ def level_factors(
             return bits.encode(sol._odd(e).lengths)
 
         ends = [(move(lo), move(hi)) for lo, hi in ends]
-    return [odd_members(bits, *ends[0], t)] + [odd_members(bits, *pair) for pair in ends[1:]]
+    return [odd_members(bits, lo, hi, None if i else t, i) for i, (lo, hi) in enumerate(ends)]
 
 
 def enumerate_restricted(
@@ -350,7 +351,7 @@ def enumerate_restricted(
         raise ValueError("level bound below the inputs' own levels")
 
     for levels in lazy_product(level_factors(sol, window_bits(k), n)):
-        x = CycleSum._of([(i, odd) for i, odd in enumerate(levels) if odd])
+        x = CycleSum._of([(i, ls) for i, ls in enumerate(levels) if ls])
         if sol.a * x != sol.b:
             raise RuntimeError(
                 f"internal error: candidate {x} fails verification"

@@ -24,6 +24,8 @@ from itertools import chain, compress
 from operator import xor
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .cycles import split_length
+
 
 class _AdjoinedTop:
     """Fresh top element adjoined to a semilattice."""
@@ -513,9 +515,14 @@ class DivisorBits:
     transform is linear, so ``encode`` XORs the up-sets of the lengths;
     the layout keeps the up-set of each divisor, made by the passes the
     first time it is encoded, so it holds at most d of them.
+
+    A cycle sum holds level i as raw lengths 2**i * q (``raw_levels``),
+    a mask the odd parts q: ``encode`` maps an even key to the up-set of q
+    and ``decode(x, i)`` reads a table of the divisors times 2**i kept per
+    level, the rules that ``division.OddCoords`` follows too.
     """
 
-    __slots__ = ("k", "base", "divisors", "index", "top", "_passes", "_up")
+    __slots__ = ("k", "base", "divisors", "index", "top", "_passes", "_up", "_raw")
     zero = 0
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
@@ -541,23 +548,26 @@ class DivisorBits:
         self.top = (1 << n) - 1
         self._passes = tuple(passes)
         self._up = _UpSets(self.index, self._passes)
+        self._raw = {0: self.divisors}
 
     def encode(self, lengths: Iterable[int]) -> int:
-        """Mask of the idempotent with these (distinct) lengths, all
-        divisors of the layout; KeyError for a length that is not."""
+        """Mask of the idempotent with these (distinct) lengths: divisors
+        of the layout, or one cycle-sum level's; else KeyError."""
         return reduce(xor, map(self._up.__getitem__, lengths), 0)
 
-    def decode(self, x: int) -> list[int]:
-        """Lengths of the idempotent with mask x."""
+    def decode(self, x: int, level: int = 0) -> tuple[int, ...]:
+        """Lengths of the idempotent with mask x, ascending, each times
+        2**level: as a cycle sum holds them at that level."""
         for shift, sel in reversed(self._passes):
             x ^= (x & sel) << shift
-        divisors = self.divisors
+        divisors = self._raw.get(level) or self._raw.setdefault(
+            level, tuple(d << level for d in self.divisors))
         out = []
         while x:
             low = x & -x
             out.append(divisors[low.bit_length() - 1])
             x ^= low
-        return out
+        return tuple(sorted(out))
 
     def parity(self, x: int) -> int:
         """The support-size parity of the idempotent with mask x."""
@@ -577,16 +587,20 @@ class DivisorBits:
 
 class _UpSets(dict):
     """The up-set mask of each divisor q of a layout, by q, made by the
-    zeta passes the first time q is asked for."""
+    zeta passes the first time q is asked for; an even key, that of its odd
+    part."""
 
     def __init__(self, index: dict[int, int], passes: tuple[tuple[int, int], ...]):
         self._index = index
         self._passes = passes
 
     def __missing__(self, q: int) -> int:
-        x = 1 << self._index[q]
-        for shift, sel in self._passes:
-            x ^= (x & sel) << shift
+        if q & 1 == 0:
+            x = self[split_length(q)[1]]
+        else:
+            x = 1 << self._index[q]
+            for shift, sel in self._passes:
+                x ^= (x & sel) << shift
         self[q] = x
         return x
 

@@ -81,12 +81,9 @@ def solve_bijective(p: CubicPoly, s: CycleSum) -> CycleSum:
     """The unique x with p(x) = s, for bijective p."""
     if not is_bijective(p):
         raise ValueError("polynomial is not bijective")
-    d0 = p.d.odd_part
-    s0 = s.odd_part
-    x0 = d0 + s0
-    drift = (p.a + p.b + p.c).even_part
-    x_plus = p.d.even_part + s.even_part + drift * x0.as_cycles()
-    return x0.as_cycles() + x_plus
+    # x = (d + s) + drift * x0: drift is the even part of a + b + c, x0 the odd part of d + s
+    ds = p.d + s
+    return ds + (p.a + p.b + p.c).even_part * ds.restrict_level(0)
 
 
 @dataclass(frozen=True)

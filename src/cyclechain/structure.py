@@ -48,7 +48,7 @@ class Classification:
 
 def _odd_times_even(x: CycleSum) -> CycleSum:
     """a*m for x = a + m split into its odd and even parts: one product per level."""
-    return x.odd_part.as_cycles() * x.even_part
+    return x.restrict_level(0) * x.even_part
 
 
 def coregular_representative(x: CycleSum) -> CycleSum:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cyclechain.chains import ChainSum, Element
-from cyclechain.cycles import CycleSum, OddSet
+from cyclechain.cycles import CycleSum
 
 
 def rand_cycles(rng, parts=(1, 3, 5, 15), levels=2, terms=3):
@@ -33,16 +33,18 @@ def rand_element(rng, parts=(1, 3, 5, 15), levels=2, cycle_terms=3, max_chain=6,
 
 def assert_canonical(x: CycleSum) -> None:
     """x is held as the checked constructor holds it: a tuple of (level,
-    OddSet) pairs, levels strictly ascending, no empty level, odd lengths;
-    and it equals and hashes like its own lengths built anew."""
+    lengths) pairs, levels strictly ascending, no empty level, and at
+    level i a tuple of strictly ascending raw lengths, each of dyadic
+    valuation exactly i; and it equals and hashes like its own lengths
+    built anew."""
     assert type(x._levels) is tuple
     levels = [i for i, _ in x._levels]
     assert levels == sorted(set(levels)) and all(i >= 0 for i in levels)
     for pair in x._levels:
         assert type(pair) is tuple and len(pair) == 2
-        odd = pair[1]
-        assert type(odd) is OddSet and type(odd.lengths) is frozenset and odd.lengths
-        assert all(q > 0 and q % 2 for q in odd.lengths)
+        i, ls = pair
+        assert type(ls) is tuple and ls and list(ls) == sorted(set(ls))
+        assert all(type(q) is int and q > 0 and (q & -q) == 1 << i for q in ls)
     rebuilt = CycleSum.from_lengths(x.lengths())
     assert x == rebuilt and hash(x) == hash(rebuilt)
 

@@ -9,14 +9,16 @@ generators, witnesses and reason texts included.  ``chain_mul_pairs``
 multiplies chain sums chain by chain, where ``ChainSum.__mul__`` sweeps
 the Z-coordinates.  ``cycle_mul_pairs`` multiplies cycle sums by two loops
 over the levels merged in a dict, where ``CycleSum.__mul__`` builds each
-output level once.
+output level once.  ``SetCycleSum`` holds a cycle sum as one frozenset of
+odd parts per level, where ``CycleSum`` holds a tuple of raw lengths, and
+derives each view of ``CycleSum`` from that.
 """
 
 import math
 from typing import Optional
 
 from cyclechain.chains import ChainSum
-from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet
+from cyclechain.cycles import CycleSum, ODD_ONE, ODD_ZERO, OddSet, split_length
 from cyclechain.division import ODD_COORDS, IntervalSolutionSet
 from cyclechain.poly import CubicPoly
 from cyclechain.structure import (
@@ -76,6 +78,69 @@ def cycle_mul_pairs(x: CycleSum, y: CycleSum) -> CycleSum:
         else:
             acc.pop(i, None)
     return CycleSum(acc)
+
+
+class SetCycleSum:
+    """A cycle sum as a dict from level i to the frozenset of the odd parts
+    of its lengths at valuation i, with the views of ``CycleSum`` derived
+    from it; built from a multiset of lengths, odd multiplicities kept."""
+
+    def __init__(self, lengths=(), levels=None):
+        if levels is None:
+            support = set()
+            for q in lengths:
+                support ^= {q}
+            levels = {}
+            for q in support:
+                i, odd = split_length(q)
+                levels.setdefault(i, set()).add(odd)
+        self.levels = {i: frozenset(odds) for i, odds in levels.items() if odds}
+
+    def items(self):
+        return tuple((i, OddSet(self.levels[i])) for i in sorted(self.levels))
+
+    def level(self, i):
+        return OddSet(self.levels.get(i, ()))
+
+    @property
+    def odd_part(self):
+        return self.level(0)
+
+    @property
+    def even_part(self):
+        return SetCycleSum(levels={i: odds for i, odds in self.levels.items() if i})
+
+    @property
+    def plus_closure(self):
+        out = ODD_ZERO
+        for _, odd in self.items():
+            out = out + odd + odd_mul_pairs(out, odd)
+        return out
+
+    def restrict_level(self, n):
+        return SetCycleSum(levels={i: odds for i, odds in self.levels.items() if i <= n})
+
+    def restrict_div(self, k):
+        kept = {i: {q for q in odds if k % q == 0} for i, odds in self.levels.items()}
+        return SetCycleSum(levels=kept)
+
+    def stats(self):
+        if not self.levels:
+            return (1, 0)
+        return (math.lcm(*(q for odds in self.levels.values() for q in odds)), max(self.levels))
+
+    def lengths(self):
+        return tuple(sorted(q << i for i, odds in self.levels.items() for q in odds))
+
+    def __str__(self):
+        return " + ".join(f"C{q}" for q in self.lengths()) or "0"
+
+    def __eq__(self, other):
+        return self.levels == other.levels
+
+    def cycles(self):
+        """The same element as a ``CycleSum``, by the checked constructor."""
+        return CycleSum(self.items())
 
 
 def solve_sets(a: CycleSum, b: CycleSum, n: int) -> IntervalSolutionSet:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclechain.cycles import CycleSum, OddSet, split_length
+from cyclechain.cycles import CycleSum, split_length
 from cyclechain.lattice import (
     FiniteLattice,
     atom_for,
@@ -115,7 +115,8 @@ def ref_from_lengths(lengths):
     for q in support:
         i, odd = split_length(q)
         grouped.setdefault(i, set()).add(odd)
-    return CycleSum._make({i: OddSet(odds) for i, odds in grouped.items()})
+    levels = sorted(grouped.items())
+    return CycleSum._of((i, tuple(sorted(q << i for q in odds))) for i, odds in levels)
 
 
 def outcome(build, *args):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from cyclechain import oracle
 from cyclechain.chains import Element
 from cyclechain.lattice import divisors
 from conftest import assert_canonical, rand_cycles
-from set_reference import cycle_mul_pairs
+from set_reference import SetCycleSum, cycle_mul_pairs
 
 C = CycleSum.single
 
@@ -147,6 +149,97 @@ class TestProductDifferential:
         for x, y in pairs:
             want = oracle.oracle_mul(Element.from_cycles(x), Element.from_cycles(y))
             assert x * y == want.cycles and not want.chains
+
+
+def view_lengths(rng: random.Random, parts: list[int]) -> list[int]:
+    """Lengths for a random sum: none, one level only, or levels 0-6, with
+    repeats so that some terms cancel."""
+    shape = rng.choice(("zero", "single", "levels", "levels"))
+    if shape == "zero":
+        return []
+    terms = [rng.choice(parts) for _ in range(rng.randint(1, 24))]
+    if shape == "single":
+        level = rng.randint(0, 6)
+        return [q << level for q in terms]
+    return [q << rng.randint(0, 6) for q in terms + terms[: rng.randint(0, 4)]]
+
+
+class TestRawLevels:
+    """Each level is held as an ascending tuple of raw lengths, and every
+    view is built from it on demand; ``set_reference.SetCycleSum`` holds a
+    frozenset of odd parts per level instead."""
+
+    MODULI = (1, 3, 15, 765765, P, P * Q)
+
+    def samples(self, rng, n):
+        for _ in range(n):
+            for parts in (D765765, TWO_PRIMES):
+                ls = view_lengths(rng, parts)
+                yield CycleSum.from_lengths(ls), SetCycleSum(ls)
+
+    def test_views_match_the_set_reference(self):
+        rng = random.Random(19)
+        for x, ref in self.samples(rng, 250):
+            assert_canonical(x)
+            assert x.items() == ref.items()
+            assert all(x.level(i) == ref.level(i) for i in range(8))
+            assert x.odd_part == ref.odd_part and x.plus_closure == ref.plus_closure
+            assert x.even_part == ref.even_part.cycles()
+            assert x.stats() == ref.stats() and x.max_level == ref.stats()[1]
+            assert x.lengths() == ref.lengths() and str(x) == str(ref)
+            for n in range(7):
+                assert x.restrict_level(n) == ref.restrict_level(n).cycles()
+            for k in self.MODULI:
+                assert x.restrict_div(k) == ref.restrict_div(k).cycles()
+            for part in (x.even_part, x.restrict_level(2), x.restrict_div(15)):
+                assert_canonical(part)
+
+    def test_equality_and_hash_follow_the_set_reference(self):
+        rng = random.Random(20)
+        samples = list(self.samples(rng, 60))
+        for x, ref in samples:
+            # the same value reached by the checked constructor, a sum and a product
+            for y in (ref.cycles(), x.even_part + x.restrict_level(0), x * CycleSum.one()):
+                assert x == y and hash(x) == hash(y)
+        for (x, rx), (y, ry) in zip(samples, samples[1:] + samples[:1]):
+            assert (x == y) == (rx == ry)
+            assert (x + y == CycleSum.zero()) == (rx == ry)
+            # shared levels merged, the rest passed through
+            assert_canonical(x + y)
+            assert (x + y).lengths() == tuple(sorted(set(rx.lengths()) ^ set(ry.lengths())))
+
+
+class TestFootprint:
+    """Pool-shaped sums, as the benchmark's solve-mix pool builds them: 200
+    sums of 96 terms over the divisors of 765765 at levels 0-4."""
+
+    def pool_lengths(self, seed):
+        rng = random.Random(seed)
+        return [[rng.choice(D765765) << rng.randint(0, 4) for _ in range(96)] for _ in range(200)]
+
+    def test_from_lengths_holds_the_given_ints(self):
+        for ls in self.pool_lengths(1)[:20]:
+            given = {id(q) for q in ls}
+            x = CycleSum.from_lengths(ls)
+            assert all(id(q) in given for _, level in x._levels for q in level)
+
+    def test_bytes_held_per_term(self):
+        lists = self.pool_lengths(2)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sums = [CycleSum.from_lengths(ls) for ls in lists]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        terms = sum(len(x.lengths()) for x in sums)
+        assert terms > 15_000
+        # a tuple slot per term and a few headers per level hold about 14 B
+        # a term; a frozenset per level and an int per odd part, about 90 B
+        assert held / terms < 24
 
 
 class TestParts:

@@ -325,7 +325,7 @@ class TestMembersDifferential:
         assume(small_window(sol, k, 0))
         bits = window_bits(k)
         lo, hi = (bits.encode(e.lengths) for e in (sol.lambda0, sol.upsilon0))
-        mine = list(odd_members(bits, lo, hi, t)())
+        mine = [OddSet(m) for m in odd_members(bits, lo, hi, t, 0)()]
         assert mine == ref_level0_parity_members(sol, k, t)
         assert all(m.parity == t for m in mine)
 

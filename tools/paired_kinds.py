@@ -10,6 +10,12 @@ of both pools runs once under the pool's own check; then the passes
 alternate the two sides query by query, the side that goes first switching
 every pass, so a slow stretch of the host falls on both sides alike.
 
+Above the table stands each side's pool footprint: the bytes, traced by
+`tracemalloc` while that side's pool is built, that are still held once it
+is, counted where the allocating line is in that side's package.  It is
+free of host noise, so a change to how the package holds its values shows
+there in process; two copies of one tree read the same bytes.
+
 Each query counts at its fastest run, as in the benchmark.  The table shows,
 per query kind, the median over its queries of that best latency and of the
 best time to the first solution (enumerations only), for both sides, and
@@ -27,6 +33,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter_ns
 from types import SimpleNamespace
@@ -59,6 +66,12 @@ def run_once(q) -> tuple[int, int | None, object]:
     return t1 - t0, first, res
 
 
+def footprint_bytes(snapshot: tracemalloc.Snapshot, package: Path) -> int:
+    """Bytes of the snapshot's traces allocated by a line of `package`."""
+    traces = snapshot.filter_traces([tracemalloc.Filter(True, f"{package}/*")])
+    return sum(stat.size for stat in traces.statistics("filename"))
+
+
 def median_or_none(values: list) -> float | None:
     values = [v for v in values if v is not None]
     return statistics.median(values) / 1e6 if values else None
@@ -89,12 +102,18 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        pools = []
-        for side, src in (("a", args.src_a), ("b", args.src_b)):
-            mods = load(src.resolve(), f"cyclechain_{side}", Path(tmp))
+        sides = [load(src.resolve(), f"cyclechain_{side}", Path(tmp))
+                 for side, src in (("a", args.src_a), ("b", args.src_b))]
+        pools, footprint = [], []
+        for side, mods in zip("ab", sides):
+            gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
+            tracemalloc.start()
             rng = random.Random(f"{args.workload}:{args.seed}")
             wl = getattr(workloads, POOLS[args.workload])(workloads.Lib(mods), rng, args.rounds)
             pools.append([q for r in wl.rounds for q in r])
+            held = tracemalloc.take_snapshot()
+            tracemalloc.stop()
+            footprint.append(footprint_bytes(held, Path(tmp) / f"cyclechain_{side}"))
         a, b = pools
         if [q.spec for q in a] != [q.spec for q in b]:
             print("error: the two trees built different pools from one seed", file=sys.stderr)
@@ -126,6 +145,8 @@ def main(argv=None) -> int:
         kinds.setdefault(q.kind, []).append(i)
     print(f"{args.workload}, seed {args.seed}: {len(a)} queries per side, best of "
           f"{args.passes + 1} runs each; checks failed: a {failed[0]}, b {failed[1]}")
+    print(f"pool footprint (bytes held by package allocations): a {footprint[0]:,} B,"
+          f" b {footprint[1]:,} B, {delta(*footprint).strip()}")
     print(f"{'query kind':<24} {'n':>4} {'a_ms':>10} {'b_ms':>10} {'delta':>8}"
           f" {'a_first_ms':>10} {'b_first_ms':>10} {'delta':>8}")
     total = [sum(rec[0] for rec in side) / 1e6 for side in best]
