@@ -13,7 +13,7 @@ the parity of the cycle part of the divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -28,7 +28,7 @@ from .division import (
     solve,
 )
 from .formal import FormalSum, ProductRule
-from .lattice import DivisorBits, ones, submasks, window_bits
+from .lattice import DivisorBits, ones, submasks, subsums, window_bits
 from .poly import fold_exponent
 
 
@@ -116,8 +116,11 @@ def mul_chain_cycle(e: int, d: int) -> ChainSum:
     return ChainSum([e]) if d & 1 else CHAIN_ZERO
 
 
+@lru_cache(maxsize=16)
 def _run(top: int, base: int) -> int:
-    """The mask of the coordinates base, base + 2, ... up to top."""
+    """The mask of the coordinates base, base + 2, ... up to top.  One
+    division asks for the same run several times, and a run up to a height
+    h costs a long division of an h-bit int, so the last 16 are kept."""
     return ((1 << (top - base) // 2 * 2 + 2) - 1) // 3 << base
 
 
@@ -257,28 +260,53 @@ class ChainDivision:
             return False
         return not (self.zlo & ~head or head & ~self.zhi)
 
+    @cached_property
+    def _prep(self) -> Optional[tuple[frozenset[int], int, str]]:
+        """(lo's chain lengths, the first tail coordinate, the free head
+        coordinates as the bits of ``hi & ~lo``, bit i at index i); None
+        when no chain sum lies in the division.  Made on the first
+        ``members`` call and kept in the instance dict, outside the fields,
+        so it is never compared or hashed."""
+        if self.kind == "empty" or self.zlo & self.zhi != self.zlo:
+            return None
+        first = self.cutoff + 1 + (1 - self.parity - self.cutoff) % 2
+        lengths = from_orthogonal(self.zlo, self.parity).lengths
+        return lengths, first, bin(self.zhi ^ self.zlo)[:1:-1]
+
     def members(self, max_height: int) -> Iterator[ChainSum]:
         """All solutions of height at most max_height >= 0, deterministically.
 
-        The height of a solution is its largest Z-coordinate.  ``submasks``
+        The height of a solution is its largest Z-coordinate.  ``subsums``
         lists the tail coordinates, then the free head coordinates
         (ascending), so its counter runs over the head outside the tail;
-        the tail is read only as far as the counter reaches.
+        the tail and the head are read only as far as the counter reaches.
+        Z_j changes between j and j + 2 where a chain of length j ends, so
+        toggling Z_p toggles L_p and L_{p-2}: each member is lo's lengths
+        with the toggles of its chosen coordinates, at a cost that does not
+        depend on the height.
         """
         if max_height < 0:
             raise ValueError(f"max_height must be >= 0, got {max_height}")
-        if self.kind == "empty":
+        prep = self._prep
+        if prep is None or self.zlo.bit_length() > max_height + 1:
             return
-        lo = self.zlo
-        if lo & ~self.zhi or lo >> max_height + 1:
-            return
+        lengths, first, free = prep
+        base = 2 - self.parity
         # free coordinates above the bound come last in the counter, so
         # leaving them out drops exactly the too-high members
-        free = self.zhi & ~lo & ((2 << max_height) - 1)
-        first = self.cutoff + 1 + (1 - self.parity - self.cutoff) % 2
         tail = range(first, max_height + 1, 2) if self.free_tail else ()
-        for z in submasks(lo, chain(tail, ones(free))):
-            yield from_orthogonal(z, self.parity)
+        coords = chain(tail, _set_bits(free, max_height + 1))
+        toggles = (frozenset((p, p - 2) if p > base else (p,)) for p in coords)
+        yield from map(ChainSum._make, subsums(lengths, toggles))
+
+
+def _set_bits(bits: str, stop: int) -> Iterator[int]:
+    """The indices below stop of the "1"s of bits, ascending, lazily: a
+    ``find`` each, so a position costs the gap from the one before."""
+    p = bits.find("1", 0, stop)
+    while p >= 0:
+        yield p
+        p = bits.find("1", p + 1, stop)
 
 
 def divide_chains(a: ChainSum, b: ChainSum, eps: int) -> ChainDivision:
@@ -309,10 +337,11 @@ def _chain_branch(za: int, zb: int, eps: int, t: int, cycle_scale: int) -> Chain
         return ChainDivision(parity=eps, cutoff=0, kind="empty" if target else "all")
     h = max((za | zb if cycle_scale else za).bit_length() - 1, 0)
     head = _run(h, 2 - eps)
-    fixed = head & ~za if cycle_scale else za
-    if target & ~fixed:
+    # x & ~y as x ^ x & y: an operand that is negative costs a pass more
+    fixed = head ^ head & za if cycle_scale else za
+    if target & fixed != target:
         return ChainDivision(parity=eps, cutoff=h, kind="empty")
-    return ChainDivision(eps, h, "interval", target, target | head & ~fixed, not cycle_scale)
+    return ChainDivision(eps, h, "interval", target, target | head ^ head & fixed, not cycle_scale)
 
 
 @dataclass(frozen=True)

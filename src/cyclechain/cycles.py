@@ -293,7 +293,8 @@ class CycleSum:
 
     @property
     def max_level(self) -> int:
-        return self.stats()[1]
+        """The top level held; 0 for the zero element."""
+        return self._levels[-1][0] if self._levels else 0
 
     def restrict_level(self, n: int) -> "CycleSum":
         """Drop all cycles at dyadic level above n."""
@@ -327,10 +328,15 @@ _ZERO = CycleSum._of(())
 _ONE = CycleSum._of([(0, (1,))])
 
 
+def odd_lengths(x: CycleSum) -> tuple[int, ...]:
+    """The lengths of level 0 of x, ascending, as held: its odd part."""
+    levels = x._levels
+    return levels[0][1] if levels and not levels[0][0] else ()
+
+
 def odd_cycle_parity(x: CycleSum) -> int:
     """Parity of the number of odd-length cycles: how x scales any chain."""
-    levels = x._levels
-    return len(levels[0][1]) & 1 if levels and not levels[0][0] else 0
+    return len(odd_lengths(x)) & 1
 
 
 def mul_cycles(m: int, n: int) -> CycleSum:

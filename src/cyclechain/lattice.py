@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import xor
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .cycles import split_length
+
+T = TypeVar("T")
 
 
 class _AdjoinedTop:
@@ -522,7 +524,7 @@ class DivisorBits:
     level, the rules that ``division.OddCoords`` follows too.
     """
 
-    __slots__ = ("k", "base", "divisors", "index", "top", "_passes", "_up", "_raw")
+    __slots__ = ("k", "base", "divisors", "index", "top", "_passes", "_up", "_raw", "_order")
     zero = 0
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
@@ -549,6 +551,7 @@ class DivisorBits:
         self._passes = tuple(passes)
         self._up = _UpSets(self.index, self._passes)
         self._raw = {0: self.divisors}
+        self._order: Optional[list[int]] = None
 
     def encode(self, lengths: Iterable[int]) -> int:
         """Mask of the idempotent with these (distinct) lengths: divisors
@@ -577,12 +580,22 @@ class DivisorBits:
         """The masks of the interval [lo, hi], lazily; none unless lo <= hi.
 
         A member is lo plus a subset of the free atoms ``hi & ~lo``, listed
-        by ``submasks`` with the free atoms sorted by divisor: the order of
-        ``Interval.members``.
+        by ``submasks`` with the free atoms in ascending divisor order: the
+        order of ``Interval.members``.  The layout keeps its bit positions
+        in that order, sorted on the first call, and ``submasks`` is given
+        them filtered by the free mask as it reads them, so the first
+        member reads no position and the listing reads none past the last
+        free atom.
         """
         if lo & ~hi:
             return iter(())
-        return submasks(lo, sorted(ones(hi & ~lo), key=self.divisors.__getitem__))
+        order = self._order
+        if order is None:
+            order = self._order = sorted(range(len(self.divisors)), key=self.divisors.__getitem__)
+        free = hi & ~lo
+        # stop at the last free atom: ``lazy_product`` lists an inner factor
+        # to its end each time it re-creates it, and the order is window-long
+        return submasks(lo, islice((p for p in order if free >> p & 1), free.bit_count()))
 
 
 class _UpSets(dict):
@@ -606,20 +619,23 @@ class _UpSets(dict):
 
 
 def submasks(lo: int, positions: Iterable[int]) -> Iterator[int]:
-    """lo with each subset of the bits at ``positions`` set, lazily.
+    """lo with each subset of the bits at ``positions`` set, lazily: the
+    ``subsums`` of their single bits."""
+    return subsums(lo, (1 << p for p in positions))
 
-    Bit t of a choice counter sets ``positions[t]``.  Counting up to c
-    clears the positions below the lowest set bit of c and sets that one:
-    one XOR per member.  A position is read only when the counter first
-    reaches it, so a long iterable of positions is never listed.
+
+def subsums(x: T, deltas: Iterable[T]) -> Iterator[T]:
+    """x plus each subset sum of the deltas under ``^``, lazily.
+
+    Bit t of a choice counter adds ``deltas[t]``.  Counting up to c adds
+    the deltas below the lowest set bit of c, which cancels them, and that
+    one: one ``^`` per member.  A delta is read only when the counter first
+    reaches it, so a long iterable of deltas is never listed.
     """
-    x = lo
     yield x
-    flips: list[int] = []
-    acc = 0
-    for p in positions:
-        acc |= 1 << p
-        flips.append(acc)
+    flips: list[T] = []
+    for d in deltas:
+        flips.append(flips[-1] ^ d if flips else d)
         for c in range(1 << len(flips) - 1, 1 << len(flips)):
             x ^= flips[(c & -c).bit_length() - 1]
             yield x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import division
-from .cycles import CycleSum, ODD_ONE
+from .cycles import CycleSum, odd_lengths
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ def eval_poly(p: CubicPoly, x: CycleSum) -> CycleSum:
 def is_bijective(p: CubicPoly) -> bool:
     """Injectivity, equivalently surjectivity, of the polynomial function."""
     return (
-        not p.a.odd_part
-        and not p.b.odd_part
-        and p.c.odd_part == ODD_ONE
+        not odd_lengths(p.a)
+        and not odd_lengths(p.b)
+        and odd_lengths(p.c) == (1,)
     )
 
 

@@ -33,7 +33,7 @@ from operator import or_
 from typing import Optional
 
 from . import division
-from .cycles import CycleSum, ODD_ONE, OddSet
+from .cycles import CycleSum, OddSet, odd_lengths
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def coregular_representative(x: CycleSum) -> CycleSum:
 
 
 def is_unit(x: CycleSum) -> bool:
-    return x.odd_part == ODD_ONE
+    return odd_lengths(x) == (1,)
 
 
 def is_regular(x: CycleSum) -> bool:

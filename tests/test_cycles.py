@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 
@@ -275,6 +276,17 @@ class TestStats:
 
     def test_zero_convention(self):
         assert CycleSum.zero().stats() == (1, 0)
+
+    def test_max_level_reads_the_top_level(self, rng, monkeypatch):
+        sums = [rand_cycles(rng, (1, 3, 5, 7, 9, 15, 21, 35), levels=6, terms=8) for _ in range(300)]
+        tops = [x.stats()[1] for x in sums]
+        assert CycleSum.zero() in sums and max(tops) == 6
+
+        def no_lcm(*args):
+            raise AssertionError("max_level took an lcm")
+
+        monkeypatch.setattr(math, "lcm", no_lcm)
+        assert [x.max_level for x in sums] == tops
 
 
 class TestRestrict:

@@ -121,6 +121,18 @@ class TestBijectivity:
         p = cubic(a=C(2), b=C(6), c=ONE + C(4), d=C(5))
         assert is_bijective(p)
 
+    def test_builds_no_level_view(self, rng, monkeypatch):
+        ps = [rand_bijective(rng) for _ in range(50)] + [rand_degenerate(rng) for _ in range(200)]
+        ps += [cubic(c=ONE + C(3)), cubic(a=C(3), c=ONE), cubic(b=C(1), c=ONE)]
+        want = [not p.a.odd_part and not p.b.odd_part and p.c.odd_part == ODD_ONE for p in ps]
+        assert want[:50] == [True] * 50 and not any(want[50:])
+
+        def no_view(self, i):
+            raise AssertionError("is_bijective built an OddSet view")
+
+        monkeypatch.setattr(CycleSum, "level", no_view)
+        assert [is_bijective(p) for p in ps] == want
+
 
 class TestSolveBijective:
     def test_identity(self, rng):

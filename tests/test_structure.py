@@ -231,6 +231,17 @@ class TestClassify:
         assert not c.is_regular and not c.is_unit
         assert c.plus_closure == OddSet([3, 5, 15])
 
+    def test_unit_test_builds_no_level_view(self, rng, monkeypatch):
+        xs = [rand_unit(rng) for _ in range(50)] + [rand_cycles(rng) for _ in range(200)]
+        want = [x.odd_part == ODD_ONE for x in xs]
+        assert any(want) and not all(want)
+
+        def no_view(self, i):
+            raise AssertionError("is_unit built an OddSet view")
+
+        monkeypatch.setattr(CycleSum, "level", no_view)
+        assert [is_unit(x) for x in xs] == want
+
     def test_invariant_implications(self, rng):
         for _ in range(500):
             c = classify(rand_cycles(rng))
