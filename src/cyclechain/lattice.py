@@ -45,7 +45,7 @@ class FiniteLattice:
     """A finite bounded lattice given by its ground set and meet operation.
 
     The constructor validates closure, idempotency, commutativity,
-    associativity and the top/bottom laws (O(n^3) in the ground size).
+    associativity and the top/bottom laws (n^2 steps on n-bit masks).
     The order is kept as up-set and down-set masks, which ``_zeta`` and
     ``_moebius`` read.  Instances are immutable after construction and
     safe to share.
@@ -97,14 +97,22 @@ class FiniteLattice:
                 raise ValueError(
                     f"meet not commutative at ({elems[i]!r}, {elems[j]!r})"
                 )
-        # Associativity over all n^3 triples, a matrix at a time in C: with
-        # the meet commutative, (i j) k = i (j k) for all i, k says that the
-        # rows m[m[i][j]] (i = 0..n-1) form a symmetric matrix A_j, since
-        # A_j[k][i] = m[m[k][j]][i] = m[i][m[j][k]].  A failure is located
-        # by the triple loop, so it names the first failing (i, j, k).
-        for col in cols:
-            rows = [m[t] for t in col]
-            if list(zip(*rows)) != rows:
+        # order: a <= b iff a meet b = a.  Bit j of _up[i] is set when
+        # i <= j, bit j of down[i] when j <= i.
+        bits = [1 << j for j in range(n)]
+        up = [sum(compress(bits, map(i.__eq__, row))) for i, row in enumerate(m)]
+        down = [sum(compress(bits, map(int.__eq__, row, range(n)))) for row in m]
+        self._up = up
+        self._down = down
+
+        # Associativity on the down-sets: a meet that is associative makes
+        # down[i j] = down[i] & down[j].  Conversely, this makes both
+        # (i j) k and i (j k) have the down-set down[i] & down[j] & down[k],
+        # and a commutative, idempotent meet gives distinct elements
+        # distinct down-sets.  A failure is located by the triple loop, so
+        # it names the first failing (i, j, k).
+        for i, row in enumerate(m):
+            if list(map(down.__getitem__, row)) != [down[i] & d for d in down]:
                 i, j, k = next(
                     (i, j, k)
                     for i in range(n)
@@ -116,14 +124,6 @@ class FiniteLattice:
                     "meet not associative at "
                     f"({elems[i]!r}, {elems[j]!r}, {elems[k]!r})"
                 )
-
-        # order: a <= b iff a meet b = a.  Bit j of _up[i] is set when
-        # i <= j, bit j of down[i] when j <= i.
-        bits = [1 << j for j in range(n)]
-        up = [sum(compress(bits, map(i.__eq__, row))) for i, row in enumerate(m)]
-        down = [sum(compress(bits, map(int.__eq__, row, range(n)))) for row in m]
-        self._up = up
-        self._down = down
 
         full = (1 << n) - 1
         tops = [j for j in range(n) if down[j] == full]
@@ -224,31 +224,27 @@ class FiniteLattice:
         """Build from the reflexive-transitive closure of given a <= b pairs.
 
         Meets are computed as greatest lower bounds; raises if some pair
-        has none or several maximal lower bounds.
+        has none or several maximal lower bounds.  The closure is taken on
+        up-set masks (bit j of up[i] when i <= j), a row at a time.
         """
         elems = tuple(elements)
         idx = {e: i for i, e in enumerate(elems)}
         n = len(elems)
-        leq = [
-            [i == j for j in range(n)] for i in range(n)
-        ]
+        up = [1 << i for i in range(n)]
         for a, b in leq_pairs:
-            leq[idx[a]][idx[b]] = True
+            up[idx[a]] |= 1 << idx[b]
         for k in range(n):
             for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        down = [0] * n
+        for i, u in enumerate(up):
+            for j in ones(u):
+                down[j] |= 1 << i
 
         def glb(a, b):
-            i, j = idx[a], idx[b]
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            maximal = [
-                k for k in lower if not any(l != k and leq[k][l] for l in lower)
-            ]
+            lower = down[idx[a]] & down[idx[b]]
+            maximal = [k for k in ones(lower) if up[k] & lower == 1 << k]
             if len(maximal) != 1:
                 raise ValueError(f"no unique meet for ({a!r}, {b!r})")
             return elems[maximal[0]]
@@ -465,16 +461,9 @@ def semilattice_algebra(
     """Build the sum algebra of a finite meet-semilattice.
 
     The input must be meet-closed with a least element; a fresh top is
-    adjoined to make it a lattice.
+    adjoined to make it a lattice, whose constructor checks both.
     """
     elems = tuple(elements)
-    seen = set(elems)
-    for a in elems:
-        for b in elems:
-            if meet(a, b) not in seen:
-                raise ValueError(
-                    f"not meet-closed: meet({a!r}, {b!r}) escapes the set"
-                )
 
     def adj_meet(a, b):
         if a is ADJOINED_TOP:
@@ -711,6 +700,12 @@ def window_bits(k: int) -> DivisorBits:
     return _kept(k, _window_layout(k))
 
 
+# Trial division stops at 10**6: at most 5 * 10**5 divisions, whatever k is.
+# So every k up to 10**12 factors, and a larger one only when what its prime
+# factors below 10**6 leave is 1 or a prime under (10**6 + 1)**2.
+MAX_WINDOW_K = 10**12
+
+
 @lru_cache(maxsize=64)
 def _window_layout(k: int) -> DivisorBits:
     """``window_bits`` of k, built once per k: the one place k is factored."""
@@ -723,16 +718,19 @@ def _window_layout(k: int) -> DivisorBits:
 
 
 def _prime_factors(k: int) -> dict[int, int]:
-    """Prime factorisation of odd k by trial division."""
+    """Prime factorisation of odd k by trial division below 10**6; a
+    ValueError when that leaves a composite cofactor (see ``MAX_WINDOW_K``)."""
     out: dict[int, int] = {}
-    d = 3
-    while d * d <= k:
-        while k % d == 0:
+    d, n = 3, k
+    while d * d <= n and d < 10**6:
+        while n % d == 0:
             out[d] = out.get(d, 0) + 1
-            k //= d
+            n //= d
         d += 2
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
+    if d * d <= n:
+        raise ValueError(f"k={k} exceeds the limit of {MAX_WINDOW_K}")
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
-from .lattice import divisor_count, divisors, ones
+from .lattice import MAX_WINDOW_K, divisor_count, divisors, ones
 
 
 @dataclass(frozen=True)
@@ -321,9 +321,8 @@ def oracle_mul(a: Element, b: Element) -> Element:
     )
 
 
-# Largest window modulus: counting its divisors takes at most 5 * 10**5 trial
-# divisions.
-MAX_SPACE_K = 10**12
+# Largest window modulus that always factors.
+MAX_SPACE_K = MAX_WINDOW_K
 
 
 @dataclass(frozen=True)
@@ -344,8 +343,6 @@ class SearchSpace:
         """len(generators()), counted without listing them."""
         if self.max_level < 0 or self.max_chain < 0:
             raise ValueError("window bounds must be >= 0")
-        if self.k > MAX_SPACE_K:
-            raise ValueError(f"k={self.k} exceeds the limit of {MAX_SPACE_K}")
         return divisor_count(self.k) * (self.max_level + 1) + self.max_chain
 
     def size(self) -> int:

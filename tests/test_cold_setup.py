@@ -3,10 +3,12 @@ element-at-a-time originals.
 
 ``ref_lattice`` is the ``FiniteLattice`` constructor that checked
 associativity one triple at a time and found covers by scanning every pair
-below an element; ``ref_from_lengths`` folded parity through one set per
-length and checked every odd part again in ``OddSet``.  The new code must
-derive the same tables and order data, raise the same ``ValueError`` text
-for the same first failing element, and build no larger frozensets.
+below an element; ``ref_from_leq`` closed a relation on a boolean matrix
+and scanned the lower bounds for each meet; ``ref_from_lengths`` folded
+parity through one set per length and checked every odd part again in
+``OddSet``.  The new code must derive the same tables and order data,
+raise the same ``ValueError`` text for the same first failing element,
+and build no larger frozensets.
 """
 
 import math
@@ -127,6 +129,35 @@ def outcome(build, *args):
         return f"ValueError: {exc}"
 
 
+def ref_from_leq(elements, leq_pairs):
+    """``FiniteLattice.from_leq`` as it closed the relation on an n x n
+    boolean matrix and found each meet by scanning the lower bounds."""
+    elems = tuple(elements)
+    idx = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in leq_pairs:
+        leq[idx[a]][idx[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                row_k = leq[k]
+                row_i = leq[i]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+
+    def glb(a, b):
+        i, j = idx[a], idx[b]
+        lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        maximal = [k for k in lower if not any(l != k and leq[k][l] for l in lower)]
+        if len(maximal) != 1:
+            raise ValueError(f"no unique meet for ({a!r}, {b!r})")
+        return elems[maximal[0]]
+
+    return FiniteLattice(elems, glb)
+
+
 class RefLattice:
     """Takes the place of FiniteLattice in its ``from_leq`` classmethod."""
 
@@ -193,6 +224,22 @@ class TestLatticeDifferential:
             ref if isinstance(ref, str) else ref.data,
             outcome(FiniteLattice.from_leq, elements, pairs),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 12), st.booleans())
+    def test_from_leq_against_the_matrix_closure(self, seed, n, bounded):
+        # the same random relations, with and without a top and a bottom:
+        # the same lattice, or the same error text
+        rng = random.Random(seed)
+        elements = tuple(f"e{i}" for i in range(n))
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(rng.randint(0, 2 * n))]
+        if bounded:
+            pairs += [(elements[0], e) for e in elements] + [(e, elements[-1]) for e in elements]
+        ref = outcome(ref_from_leq, elements, pairs)
+        lat = outcome(FiniteLattice.from_leq, elements, pairs)
+        assert lat == ref
+        if not isinstance(ref, str):
+            assert (lat._up, lat._down, lat._covers_below) == (ref._up, ref._down, ref._covers_below)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(divisors(1155)), min_size=1, max_size=8, unique=True))

@@ -1,10 +1,15 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
+from cyclechain.chains import Element, divide_full_restricted
+from cyclechain.cycles import CycleSum
+from cyclechain.division import enumerate_restricted, solve
 from cyclechain.lattice import (
+    MAX_WINDOW_K,
     BoolElem,
     FiniteLattice,
     Interval,
@@ -13,13 +18,16 @@ from cyclechain.lattice import (
     atoms_below,
     divisor_atom,
     divisor_atom_indices,
+    divisor_count,
     divisor_lattice,
+    divisors,
     from_atoms,
     interval_parity_split,
     norm,
     semilattice_algebra,
     unit_vector,
 )
+from cyclechain.oracle import MAX_SPACE_K, SearchSpace
 
 HEX_ELEMENTS = ("T", "l", "m", "n", "p", "B")
 HEX_LEQ = [("B", "n"), ("B", "p"), ("n", "l"), ("p", "m"), ("l", "T"), ("m", "T")]
@@ -467,3 +475,44 @@ class TestDivisorAtoms:
                         assert prod == divisor_atom(k, j)
                     else:
                         assert prod == zero
+
+
+class TestWindowBound:
+    # a prime above 10^12, and 89 * 101 * 1052788969 * 1056689261: factoring
+    # either in full takes over 5 * 10^6 trial divisions
+    BIG = (100000000000031, 10**22 + 1)
+
+    @pytest.mark.parametrize("k", BIG)
+    def test_a_k_that_does_not_factor_below_10_6_is_refused(self, k):
+        one = CycleSum.from_lengths([1])
+        for call in [
+            lambda: divisors(k),
+            lambda: divisor_count(k),
+            lambda: divisor_lattice(k),
+            lambda: divisor_atom(k, 1),
+            lambda: next(enumerate_restricted(solve(one, one), k, 0)),
+            lambda: next(divide_full_restricted(Element.one(), Element.one(), k)),
+        ]:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError) as exc:
+                call()
+            # at most 5 * 10^5 trial divisions, about 0.05 s on a 2-core host
+            assert time.perf_counter() - t0 < 0.25
+            assert str(exc.value) == f"k={k} exceeds the limit of {MAX_WINDOW_K}"
+
+    def test_every_k_up_to_the_limit_factors(self):
+        assert divisors(999999999989) == [1, 999999999989]  # the largest prime below 10^12
+        assert divisor_count(MAX_WINDOW_K - 1) == 256  # 3^3 7 11 13 37 101 9901
+        # above it, a k factors when what trial division leaves is a prime
+        assert divisors(10**12 + 39) == [1, 10**12 + 39]
+        assert divisor_count(3 * (10**12 + 39)) == 4
+        assert divisor_count(math.prod([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])) == 4096
+
+    def test_the_limit_is_the_oracle_window_limit(self):
+        assert MAX_SPACE_K == MAX_WINDOW_K == 10**12
+        with pytest.raises(ValueError) as exc:
+            SearchSpace(k=10**22 + 1).generator_count()
+        assert str(exc.value) == f"k={10**22 + 1} exceeds the limit of 1000000000000"
+        # the bounds are still checked first
+        with pytest.raises(ValueError, match="window bounds must be >= 0"):
+            SearchSpace(k=10**22 + 1, max_level=-1).generator_count()
