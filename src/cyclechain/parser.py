@@ -1,25 +1,31 @@
-"""Recursive-descent parser and evaluators for cycle/chain expressions.
+"""Recursive-descent parser for cycle/chain expressions, evaluating as it reads.
 
 Grammar:  expr := term ('+' term)*;  term := factor ('*' factor)*;
 factor := primary ('^' INT)*;  primary := atom | '(' expr ')'.  Atoms are
 C<int>, L<int>, the literals 0 and 1 (1 means C1), and optionally the
-variable x for polynomial input.  Whitespace is ignored and errors carry
-the byte offset of the offence.
+variable x for polynomial input.  Integers are runs of ASCII digits.
+Whitespace is ignored and errors carry the offset of the offence.
+
+Each rule returns the value of the text it read and combines values with
+their own ``+``, ``*`` and ``**``: ``Element``'s for ``parse_element``,
+``_Poly``'s for ``parse_poly``.  Both fold powers by x**4 = x**2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 from .chains import ChainSum, Element
 from .cycles import CycleSum
-from .poly import CubicPoly, fold_coeffs, fold_exponent, reduce_poly
+from .poly import CubicPoly, fold_exponent, reduce_poly
 
 MAX_INT = 10**6
-# Deepest nesting of parentheses and chained powers; the parser and the
-# evaluators recurse once per level, so this keeps them far from Python's
-# recursion limit.
+# A longer digit run is refused before int() reads it: 4300 digits is the
+# most int() reads under Python's default limit, and no message quotes more.
+MAX_DIGITS = 4300
+DIGITS = "0123456789"
+# Deepest nesting of parentheses and chained powers; the parser recurses
+# once per level, so this keeps it far from Python's recursion limit.
 MAX_DEPTH = 100
 
 
@@ -29,49 +35,20 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # "C" | "L"
-    n: int
+def _digits(text: str, start: int, pos: int) -> tuple[int, int]:
+    """The value of the ASCII digit run at ``start`` and the offset after it;
+    errors are reported at ``pos``."""
+    end = start
+    while end < len(text) and text[end] in DIGITS:
+        end += 1
+    if end - start > MAX_DIGITS:
+        raise ParseError(f"a run of {end - start} digits exceeds the limit of {MAX_DIGITS}", pos)
+    return int(text[start:end] or 0), end
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class Add:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Mul:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-Node = "Atom | Var | Zero | Add | Mul | Pow"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of + * ^ ( ) atom_C atom_L int var end
-    value: Optional[int]
-    pos: int
-
-
-def _tokenize(text: str, allow_var: bool) -> list[_Token]:
+def _tokenize(text: str, allow_var: bool) -> list[tuple]:
+    """The whole text as (kind, value, offset) tuples, kind one of
+    + * ^ ( ) atom_C atom_L int var end."""
     out = []
     i = 0
     while i < len(text):
@@ -80,206 +57,156 @@ def _tokenize(text: str, allow_var: bool) -> list[_Token]:
             i += 1
             continue
         if ch in "+*^()":
-            out.append(_Token(ch, None, i))
+            out.append((ch, None, i))
             i += 1
             continue
         if ch in "CL":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
+            n, j = _digits(text, i + 1, i)
             if j == i + 1:
                 raise ParseError(f"expected a length after {ch!r}", i)
-            n = int(text[i + 1 : j])
             if n == 0:
                 raise ParseError(f"{ch}0 is not a valid atom", i)
             if n > MAX_INT:
                 raise ParseError(f"length {n} exceeds the limit {MAX_INT}", i)
-            out.append(_Token("atom_" + ch, n, i))
+            out.append(("atom_" + ch, n, i))
             i = j
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            n = int(text[i:j])
+        if ch in DIGITS:
+            n, j = _digits(text, i, i)
             if n > MAX_INT:
                 raise ParseError(f"integer {n} exceeds the limit {MAX_INT}", i)
-            out.append(_Token("int", n, i))
+            out.append(("int", n, i))
             i = j
             continue
         if ch == "x" and allow_var:
-            out.append(_Token("var", None, i))
+            out.append(("var", None, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", None, len(text)))
+    out.append(("end", None, len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """One pass over the tokens; ``leaf(kind, n)`` gives the value of an
+    atom, the literal 0 or 1 (as ``int``) or the variable."""
+
+    def __init__(self, tokens: list[tuple], leaf: Callable):
         self.tokens = tokens
+        self.leaf = leaf
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         self.i += 1
         return tok
 
-    def expr(self) -> Node:
-        parts = [self.term()]
-        while self.peek().kind == "+":
-            self.take("+")
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else Add(tuple(parts))
+    def run(self):
+        value = self.expr()
+        self.take("end")
+        return value
 
-    def term(self) -> Node:
-        parts = [self.factor()]
-        while self.peek().kind == "*":
-            self.take("*")
-            parts.append(self.factor())
-        return parts[0] if len(parts) == 1 else Mul(tuple(parts))
+    def expr(self):
+        value = self.term()
+        while self.tokens[self.i][0] == "+":
+            self.i += 1
+            value = value + self.term()
+        return value
 
-    def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take("(")
+    def term(self):
+        value = self.factor()
+        while self.tokens[self.i][0] == "*":
+            self.i += 1
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        kind, n, pos = self.tokens[self.i]
+        if kind == "(":
+            self.i += 1
             self.depth += 1
             if self.depth > MAX_DEPTH:
-                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", tok.pos)
-            node: Node = self.expr()
+                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", pos)
+            value = self.expr()
             self.take(")")
             self.depth -= 1
-        elif tok.kind == "atom_C":
-            self.take("atom_C")
-            node = Atom("C", tok.value)
-        elif tok.kind == "atom_L":
-            self.take("atom_L")
-            node = Atom("L", tok.value)
-        elif tok.kind == "int":
-            self.take("int")
-            if tok.value == 0:
-                node = Zero()
-            elif tok.value == 1:
-                node = Atom("C", 1)
-            else:
-                raise ParseError(
-                    f"bare integer {tok.value} is not an atom "
-                    f"(use C{tok.value} or L{tok.value})",
-                    tok.pos,
-                )
-        elif tok.kind == "var":
-            self.take("var")
-            node = Var()
+        elif kind == "int" and n > 1:
+            raise ParseError(f"bare integer {n} is not an atom (use C{n} or L{n})", pos)
+        elif kind in ("atom_C", "atom_L", "int", "var"):
+            self.i += 1
+            value = self.leaf(kind, n)
         else:
-            raise ParseError(
-                f"expected an atom or '(', found {tok.kind!r}", tok.pos
-            )
+            raise ParseError(f"expected an atom or '(', found {kind!r}", pos)
         powers = 0
-        while self.peek().kind == "^":
-            ctok = self.take("^")
+        while self.tokens[self.i][0] == "^":
+            pos = self.take("^")[2]
             powers += 1
             if self.depth + powers > MAX_DEPTH:
-                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", ctok.pos)
-            etok = self.take("int")
-            if etok.value < 1:
-                raise ParseError("exponent must be >= 1", etok.pos)
-            node = Pow(node, etok.value)
-        return node
+                raise ParseError(f"expression nested deeper than {MAX_DEPTH}", pos)
+            exponent = self.take("int")
+            if exponent[1] < 1:
+                raise ParseError("exponent must be >= 1", exponent[2])
+            value = value ** exponent[1]
+        return value
 
 
-def parse(text: str, allow_var: bool = False) -> Node:
-    tokens = _tokenize(text, allow_var)
-    parser = _Parser(tokens)
-    node = parser.expr()
-    parser.take("end")
-    return node
-
-
-def eval_element(node: Node) -> Element:
-    """Evaluate a variable-free expression to a sum of chains and cycles."""
-    if isinstance(node, Zero):
-        return Element.zero()
-    if isinstance(node, Atom):
-        if node.kind == "C":
-            return Element.from_cycles(CycleSum.single(node.n))
-        return Element.from_chains(ChainSum([node.n]))
-    if isinstance(node, Var):
-        raise ValueError("the variable x is not allowed in this expression")
-    if isinstance(node, Add):
-        out = Element.zero()
-        for part in node.parts:
-            out = out + eval_element(part)
-        return out
-    if isinstance(node, Mul):
-        out = Element.one()
-        for part in node.parts:
-            out = out * eval_element(part)
-        return out
-    if isinstance(node, Pow):
-        return eval_element(node.base) ** node.exponent
-    raise TypeError(f"unknown node {node!r}")
+def _element_leaf(kind: str, n: int) -> Element:
+    if kind == "atom_L":
+        return Element.from_chains(ChainSum([n]))
+    return Element.from_cycles(CycleSum.single(n)) if n else Element.zero()
 
 
 def parse_element(text: str) -> Element:
-    return eval_element(parse(text))
+    """Evaluate a variable-free expression to a sum of chains and cycles."""
+    return _Parser(_tokenize(text, False), _element_leaf).run()
 
 
-def _poly_add(p: list[CycleSum], q: list[CycleSum]) -> list[CycleSum]:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else CycleSum.zero()
-        b = q[i] if i < len(q) else CycleSum.zero()
-        out.append(a + b)
-    return out
+parse = parse_element
 
 
-def _poly_mul(p: list[CycleSum], q: list[CycleSum]) -> list[CycleSum]:
-    out = [CycleSum.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return fold_coeffs(out)
+class _Poly:
+    """A polynomial in x over cycle sums: its four coefficients, lowest
+    first.  Products fold to degree 3 by ``fold_exponent``."""
 
+    __slots__ = ("coeffs",)
 
-def _eval_poly_node(node: Node) -> list[CycleSum]:
-    if isinstance(node, Zero):
-        return [CycleSum.zero()]
-    if isinstance(node, Atom):
-        if node.kind == "L":
-            raise ValueError("polynomial coefficients must be cycle sums")
-        return [CycleSum.single(node.n)]
-    if isinstance(node, Var):
-        return [CycleSum.zero(), CycleSum.one()]
-    if isinstance(node, Add):
-        out = [CycleSum.zero()]
-        for part in node.parts:
-            out = _poly_add(out, _eval_poly_node(part))
+    def __init__(self, coeffs: list[CycleSum]):
+        self.coeffs = coeffs
+
+    @staticmethod
+    def leaf(kind: str, n: int) -> "_Poly":
+        zero = CycleSum.zero()
+        if kind == "var":
+            return _Poly([zero, CycleSum.one(), zero, zero])
+        # an L atom stands for 0 here: parse_poly refuses it once the text has parsed
+        return _Poly([CycleSum.single(n) if n and kind != "atom_L" else zero, zero, zero, zero])
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        return _Poly([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        out = [CycleSum.zero()] * 4
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                if a and b:
+                    k = fold_exponent(i + j)
+                    out[k] = out[k] + a * b
+        return _Poly(out)
+
+    def __pow__(self, e: int) -> "_Poly":
+        out = _Poly.leaf("int", 1)
+        for _ in range(fold_exponent(e)):
+            out = out * self
         return out
-    if isinstance(node, Mul):
-        out = [CycleSum.one()]
-        for part in node.parts:
-            out = _poly_mul(out, _eval_poly_node(part))
-        return out
-    if isinstance(node, Pow):
-        base = _eval_poly_node(node.base)
-        out = [CycleSum.one()]
-        for _ in range(fold_exponent(node.exponent)):
-            out = _poly_mul(out, base)
-        return out
-    raise TypeError(f"unknown node {node!r}")
 
 
 def parse_poly(text: str) -> CubicPoly:
     """Parse a univariate polynomial over cycle sums into reduced form."""
-    coeffs = _eval_poly_node(parse(text, allow_var=True))
+    tokens = _tokenize(text, True)
+    coeffs = _Parser(tokens, _Poly.leaf).run().coeffs
+    if any(tok[0] == "atom_L" for tok in tokens):
+        raise ValueError("polynomial coefficients must be cycle sums")
     return reduce_poly(coeffs)

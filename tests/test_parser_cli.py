@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cyclechain
 from cyclechain import cli
@@ -14,9 +16,7 @@ from cyclechain.lattice import divisor_atom, divisor_atom_indices, divisor_latti
 from cyclechain.cycles import CycleSum
 from cyclechain.parser import (
     MAX_DEPTH,
-    Add,
-    Atom,
-    Mul,
+    MAX_DIGITS,
     ParseError,
     parse,
     parse_element,
@@ -31,8 +31,8 @@ C = CycleSum.single
 
 class TestParse:
     def test_precedence(self):
-        node = parse("C3 + C5*C2")
-        assert node == Add((Atom("C", 3), Mul((Atom("C", 5), Atom("C", 2)))))
+        assert parse("C3 + C5*C2") == parse_element("C3 + C10") != parse_element("C15*C2")
+        assert parse("L2*C2 + C1^2*L3") == parse_element("L3")
 
     def test_unit_square(self):
         assert parse_element("(C1+C2)^2") == Element.one()
@@ -71,7 +71,7 @@ class TestParse:
     def test_variable_only_when_allowed(self):
         with pytest.raises(ParseError):
             parse("x")
-        parse("x", allow_var=True)
+        parse_poly("x")
 
     def test_roundtrip_on_canonical_forms(self, rng):
         for _ in range(200):
@@ -81,6 +81,68 @@ class TestParse:
     def test_print_order(self):
         x = Element(chains=ChainSum([5, 2]), cycles=CycleSum.from_lengths([10, 1]))
         assert str(x) == "C1 + C10 + L2 + L5"
+
+
+class TestTokenizer:
+    """Lengths and exponents are runs of ASCII digits, refused before
+    ``int()`` when longer than ``MAX_DIGITS``."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C\u00b3", "expected a length after 'C' (at offset 0)"),
+            ("\u00b3", "unexpected character '\u00b3' (at offset 0)"),
+            ("C\u0663 + C5", "expected a length after 'C' (at offset 0)"),
+            ("C3 + C5^\u0663", "unexpected character '\u0663' (at offset 8)"),
+            ("C" + "1" * 5000, f"a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)"),
+            ("0" * 5000, f"a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)"),
+            ("C3 + L" + "0" * 4301, f"a run of 4301 digits exceeds the limit of {MAX_DIGITS} (at offset 5)"),
+        ],
+    )
+    def test_refused_with_offset(self, text, message):
+        for parse_text in (parse_element, parse_poly):
+            with pytest.raises(ParseError) as err:
+                parse_text(text)
+            assert str(err.value) == message
+
+    def test_longest_run_keeps_its_message(self):
+        with pytest.raises(ParseError) as err:
+            parse("L" + "1" * MAX_DIGITS)
+        assert str(err.value) == f"length {'1' * MAX_DIGITS} exceeds the limit 1000000 (at offset 0)"
+        assert parse("C" + "0" * (MAX_DIGITS - 1) + "7") == parse("C7")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C\u00b3", "error: expected a length after 'C' (at offset 0)\n"),
+            ("C\u0663 + C5", "error: expected a length after 'C' (at offset 0)\n"),
+            ("0" * 5000, f"error: a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)\n"),
+        ],
+    )
+    def test_eval_exits_2(self, capsys, text, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", message)
+
+
+GRAMMAR = st.text(alphabet="CLx0123456789+*^() \u00b3\u0663@", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=30), GRAMMAR))
+@example("\u00b3")
+@example("C" + "1" * 5000)
+def test_parse_error_contract(text):
+    """Any text gives a value, or a ParseError at an offset inside it; the
+    polynomial parser may also refuse chain coefficients."""
+    for parse_text, result in ((parse_element, Element), (parse_poly, CubicPoly)):
+        try:
+            assert isinstance(parse_text(text), result)
+        except ParseError as err:
+            assert 0 <= err.pos <= len(text)
+        except ValueError as err:
+            assert parse_text is parse_poly and str(err) == "polynomial coefficients must be cycle sums"
 
 
 class TestParsePoly:
