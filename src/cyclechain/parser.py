@@ -20,9 +20,6 @@ from .cycles import CycleSum
 from .poly import CubicPoly, fold_exponent, reduce_poly
 
 MAX_INT = 10**6
-# A longer digit run is refused before int() reads it: 4300 digits is the
-# most int() reads under Python's default limit, and no message quotes more.
-MAX_DIGITS = 4300
 DIGITS = "0123456789"
 # Deepest nesting of parentheses and chained powers; the parser recurses
 # once per level, so this keeps it far from Python's recursion limit.
@@ -35,15 +32,17 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _digits(text: str, start: int, pos: int) -> tuple[int, int]:
-    """The value of the ASCII digit run at ``start`` and the offset after it;
-    errors are reported at ``pos``."""
+def _digits(text: str, start: int, pos: int, what: str) -> tuple[int, int]:
+    """The value of the ASCII digit run at ``start`` and the offset after it.
+    A value above ``MAX_INT`` is refused at ``pos`` as ``what``; ``int()``
+    reads only runs with few enough significant digits to be in range."""
     end = start
     while end < len(text) and text[end] in DIGITS:
         end += 1
-    if end - start > MAX_DIGITS:
-        raise ParseError(f"a run of {end - start} digits exceeds the limit of {MAX_DIGITS}", pos)
-    return int(text[start:end] or 0), end
+    digits = text[start:end].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_INT)) or int(digits) > MAX_INT:
+        raise ParseError(f"{what} {digits} exceeds the limit {MAX_INT}", pos)
+    return int(digits), end
 
 
 def _tokenize(text: str, allow_var: bool) -> list[tuple]:
@@ -61,20 +60,16 @@ def _tokenize(text: str, allow_var: bool) -> list[tuple]:
             i += 1
             continue
         if ch in "CL":
-            n, j = _digits(text, i + 1, i)
+            n, j = _digits(text, i + 1, i, "length")
             if j == i + 1:
                 raise ParseError(f"expected a length after {ch!r}", i)
             if n == 0:
                 raise ParseError(f"{ch}0 is not a valid atom", i)
-            if n > MAX_INT:
-                raise ParseError(f"length {n} exceeds the limit {MAX_INT}", i)
             out.append(("atom_" + ch, n, i))
             i = j
             continue
         if ch in DIGITS:
-            n, j = _digits(text, i, i)
-            if n > MAX_INT:
-                raise ParseError(f"integer {n} exceeds the limit {MAX_INT}", i)
+            n, j = _digits(text, i, i, "integer")
             out.append(("int", n, i))
             i = j
             continue

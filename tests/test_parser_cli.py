@@ -16,7 +16,6 @@ from cyclechain.lattice import divisor_atom, divisor_atom_indices, divisor_latti
 from cyclechain.cycles import CycleSum
 from cyclechain.parser import (
     MAX_DEPTH,
-    MAX_DIGITS,
     ParseError,
     parse,
     parse_element,
@@ -84,8 +83,10 @@ class TestParse:
 
 
 class TestTokenizer:
-    """Lengths and exponents are runs of ASCII digits, refused before
-    ``int()`` when longer than ``MAX_DIGITS``."""
+    """Lengths and exponents are runs of ASCII digits; ``int()`` reads only
+    runs with at most seven significant digits."""
+
+    LONG = "1" * 5000
 
     @pytest.mark.parametrize(
         "text, message",
@@ -94,9 +95,10 @@ class TestTokenizer:
             ("\u00b3", "unexpected character '\u00b3' (at offset 0)"),
             ("C\u0663 + C5", "expected a length after 'C' (at offset 0)"),
             ("C3 + C5^\u0663", "unexpected character '\u0663' (at offset 8)"),
-            ("C" + "1" * 5000, f"a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)"),
-            ("0" * 5000, f"a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)"),
-            ("C3 + L" + "0" * 4301, f"a run of 4301 digits exceeds the limit of {MAX_DIGITS} (at offset 5)"),
+            ("C" + LONG, f"length {LONG} exceeds the limit 1000000 (at offset 0)"),
+            ("C3 + " + "0" * 5000 + LONG, f"integer {LONG} exceeds the limit 1000000 (at offset 5)"),
+            ("C3 + L" + "0" * 5000, "L0 is not a valid atom (at offset 5)"),
+            ("C3 + L" + "0" * 5000 + "10000000", "length 10000000 exceeds the limit 1000000 (at offset 5)"),
         ],
     )
     def test_refused_with_offset(self, text, message):
@@ -105,18 +107,30 @@ class TestTokenizer:
                 parse_text(text)
             assert str(err.value) == message
 
-    def test_longest_run_keeps_its_message(self):
-        with pytest.raises(ParseError) as err:
-            parse("L" + "1" * MAX_DIGITS)
-        assert str(err.value) == f"length {'1' * MAX_DIGITS} exceeds the limit 1000000 (at offset 0)"
-        assert parse("C" + "0" * (MAX_DIGITS - 1) + "7") == parse("C7")
+    def test_leading_zeros_are_read_past(self):
+        assert parse("C" + "0" * 5000 + "7") == parse("C7")
+        assert parse("C3 + " + "0" * 5000) == parse("C3")
+        assert parse_poly("C2*x^" + "0" * 5000 + "4") == parse_poly("C2*x^2")
+
+    def test_no_int_string_limit_reached(self):
+        """A long run is refused by its own message even when the
+        interpreter reads fewer digits than usual."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ParseError) as err:
+                parse("L" + "1" * 1000)
+            assert str(err.value) == f"length {'1' * 1000} exceeds the limit 1000000 (at offset 0)"
+            assert parse("C" + "0" * 1000 + "7") == parse("C7")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize(
         "text, message",
         [
             ("C\u00b3", "error: expected a length after 'C' (at offset 0)\n"),
             ("C\u0663 + C5", "error: expected a length after 'C' (at offset 0)\n"),
-            ("0" * 5000, f"error: a run of 5000 digits exceeds the limit of {MAX_DIGITS} (at offset 0)\n"),
+            ("C" + LONG, f"error: length {LONG} exceeds the limit 1000000 (at offset 0)\n"),
         ],
     )
     def test_eval_exits_2(self, capsys, text, message):

@@ -3,9 +3,9 @@
 A seeded corpus of valid expressions, each also mutated into malformed
 ones, is parsed in element and polynomial mode by both.  Each text must
 give the same ``repr`` of the value, or the same exception type and
-message.  Digit runs are ASCII and short here: on other digits and on
-runs longer than ``MAX_DIGITS`` the new tokenizer refuses what the old
-one read (``test_parser_cli.TestTokenizer``).
+message.  Digit runs are ASCII and short here: the new tokenizer refuses
+other digits, and long runs without reaching ``int()``, where the old one
+read them or failed in ``int()`` (``test_parser_cli.TestTokenizer``).
 """
 
 import random
