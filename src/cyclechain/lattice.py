@@ -1,7 +1,7 @@
 """Finite meet lattices and the Boolean algebra of their formal sums.
 
 ``FiniteLattice`` stores an explicit meet table plus derived order data
-(top, bottom, covers, a descending linear extension).  ``BoolElem`` is a
+(top, bottom, a descending linear extension).  ``BoolElem`` is a
 formal sum mod 2 over the ground set; under the mod-2 meet-convolution
 product these sums form a Boolean algebra.  A ``BoolElem`` is held in atom
 coordinates: bit l is the parity of the support's elements >= l, the mod-2
@@ -27,18 +27,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Se
 from .cycles import split_length
 
 T = TypeVar("T")
-
-
-class _AdjoinedTop:
-    """Fresh top element adjoined to a semilattice."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-
-ADJOINED_TOP = _AdjoinedTop()
 
 
 class FiniteLattice:
@@ -137,16 +125,6 @@ class FiniteLattice:
         self._toporder: tuple[int, ...] = tuple(
             sorted(range(n), key=lambda i: (up[i].bit_count(), i))
         )
-        # covers by transitive reduction: j covered by i if j < i with
-        # nothing strictly between, i.e. j is strictly below i but not
-        # strictly below any other element strictly below i
-        strict = [d & ~(1 << i) for i, d in enumerate(down)]
-        self._covers_below: list[tuple[int, ...]] = []
-        for below in strict:
-            deeper = 0
-            for k in ones(below):
-                deeper |= strict[k]
-            self._covers_below.append(tuple(ones(below & ~deeper)))
 
     def _zeta(self, support: Iterable[int]) -> int:
         """Atom mask of the sum supported at these distinct indices: bit l
@@ -208,12 +186,6 @@ class FiniteLattice:
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return bool(self._up[self.index[a]] >> self.index[b] & 1)
-
-    def covers_below(self, a: Hashable) -> tuple:
-        """Elements covered by a: strictly below with nothing in between."""
-        return tuple(
-            self.elements[j] for j in self._covers_below[self.index[a]]
-        )
 
     @classmethod
     def from_leq(
@@ -350,10 +322,6 @@ class BoolElem:
         return f"BoolElem({str(self)!r})"
 
 
-def unit_vector(lat: FiniteLattice, l: Hashable) -> BoolElem:
-    return BoolElem._from_mask(lat, lat._down[lat.index[l]])
-
-
 def atom_for(lat: FiniteLattice, l: Hashable) -> BoolElem:
     """The unique atom of the sum algebra whose support joins to l.
 
@@ -361,32 +329,6 @@ def atom_for(lat: FiniteLattice, l: Hashable) -> BoolElem:
     number of times; in atom coordinates it is bit l alone.
     """
     return BoolElem._from_mask(lat, 1 << lat.index[l])
-
-
-def atoms(lat: FiniteLattice) -> tuple[BoolElem, ...]:
-    """All atoms, one per lattice element, in ground-set order."""
-    return tuple(atom_for(lat, l) for l in lat.elements)
-
-
-def atoms_below(x: BoolElem) -> frozenset:
-    """Lattice elements l with atom_for(l) <= x."""
-    return frozenset(map(x.lattice.elements.__getitem__, ones(x.mask)))
-
-
-def from_atoms(lat: FiniteLattice, ls: Iterable[Hashable]) -> BoolElem:
-    """The sum of the atoms at ls; an element listed twice cancels."""
-    mask = 0
-    for l in ls:
-        mask ^= 1 << lat.index[l]
-    return BoolElem._from_mask(lat, mask)
-
-
-def norm(x: BoolElem, l: Hashable) -> int:
-    """1 when x dominates the atom at l, else 0.
-
-    At the lattice bottom this is the parity of the support size of x.
-    """
-    return x.mask >> x.lattice.index[l] & 1
 
 
 @dataclass(frozen=True)
@@ -420,63 +362,6 @@ class Interval:
         lat = self.lo.lattice
         for mask in submasks(self.lo.mask, ones(self.hi.mask & ~self.lo.mask)):
             yield BoolElem._from_mask(lat, mask)
-
-
-def interval_parity_split(iv: Interval, l: Hashable) -> tuple[Interval, Interval]:
-    """Split [lo, hi] by the norm at l: (norm 0 part, norm 1 part).
-
-    Either returned interval may be empty.  At the lattice bottom the two
-    parts are the even- and odd-support-size members.
-    """
-    if iv.is_empty:
-        raise ValueError("cannot split an empty interval")
-    a = atom_for(iv.lo.lattice, l)
-    return Interval(iv.lo, iv.hi * a.complement()), Interval(iv.lo | a, iv.hi)
-
-
-@dataclass(frozen=True)
-class SemilatticeAlgebra:
-    """Boolean algebra on the sums over a meet-semilattice without a top.
-
-    Elements are the BoolElem values of ``lattice`` (the semilattice with a
-    fresh top adjoined) supported away from the adjoined top; the algebra
-    top is e_top + atom_for(top) and its atoms are all other atoms.
-    """
-
-    lattice: FiniteLattice
-    top: BoolElem
-    atoms: tuple[BoolElem, ...]
-
-    def embed(self, support: Iterable[Hashable]) -> BoolElem:
-        return BoolElem(self.lattice, support)
-
-    def complement(self, x: BoolElem) -> BoolElem:
-        return x + self.top
-
-
-def semilattice_algebra(
-    elements: Sequence[Hashable],
-    meet: Callable[[Hashable, Hashable], Hashable],
-) -> SemilatticeAlgebra:
-    """Build the sum algebra of a finite meet-semilattice.
-
-    The input must be meet-closed with a least element; a fresh top is
-    adjoined to make it a lattice, whose constructor checks both.
-    """
-    elems = tuple(elements)
-
-    def adj_meet(a, b):
-        if a is ADJOINED_TOP:
-            return b
-        if b is ADJOINED_TOP:
-            return a
-        return meet(a, b)
-
-    lat = FiniteLattice((ADJOINED_TOP,) + elems, adj_meet)
-    top_atom = atom_for(lat, ADJOINED_TOP)
-    full_top = unit_vector(lat, ADJOINED_TOP) + top_atom
-    rest = tuple(atom_for(lat, l) for l in elems)
-    return SemilatticeAlgebra(lattice=lat, top=full_top, atoms=rest)
 
 
 # Most divisors a DivisorBits layout takes: masks of at most 512 bytes.

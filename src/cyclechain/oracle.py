@@ -212,53 +212,6 @@ def decompose(g: Digraph) -> ComponentMultiset:
     return ComponentMultiset(cycles, chains)
 
 
-def _tree_key(root: int, children: dict[int, list[int]]) -> tuple:
-    return tuple(
-        sorted(_tree_key(c, children) for c in children.get(root, []))
-    )
-
-
-def component_keys(g: Digraph) -> dict[tuple, int]:
-    """Canonical isomorphism keys of the weak components, with counts.
-
-    Works for arbitrary partial transformations: a component either ends
-    in a terminal vertex (encoded as a rooted in-tree) or closes a cycle
-    (encoded as the rotation-minimal tuple of the trees hanging off it).
-    """
-    keys: dict[tuple, int] = {}
-    for comp in weak_components(g):
-        members = set(comp)
-        # locate the cycle, if any, by walking until repetition
-        seen: dict[int, int] = {}
-        u = comp[0]
-        path = []
-        while u is not None and u not in seen:
-            seen[u] = len(path)
-            path.append(u)
-            u = g.succ[u]
-        if u is None:
-            cycle_set: set[int] = set()
-            root = path[-1]
-        else:
-            cycle = path[seen[u]:]
-            cycle_set = set(cycle)
-        children: dict[int, list[int]] = {}
-        for v in members:
-            w = g.succ[v]
-            if w is not None and v not in cycle_set:
-                children.setdefault(w, []).append(v)
-        if not cycle_set:
-            key = ("tree", _tree_key(root, children))
-        else:
-            hung = [_tree_key(c, children) for c in cycle]
-            rotations = [
-                tuple(hung[i:] + hung[:i]) for i in range(len(hung))
-            ]
-            key = ("cycle", len(cycle), min(rotations))
-        keys[key] = keys.get(key, 0) + 1
-    return keys
-
-
 def closed_form_product(
     a: ComponentMultiset, b: ComponentMultiset
 ) -> ComponentMultiset:

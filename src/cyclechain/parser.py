@@ -4,7 +4,7 @@ Grammar:  expr := term ('+' term)*;  term := factor ('*' factor)*;
 factor := primary ('^' INT)*;  primary := atom | '(' expr ')'.  Atoms are
 C<int>, L<int>, the literals 0 and 1 (1 means C1), and optionally the
 variable x for polynomial input.  Integers are runs of ASCII digits.
-Whitespace is ignored and errors carry the offset of the offence.
+ASCII whitespace is ignored and errors carry the offset of the offence.
 
 Each rule returns the value of the text it read and combines values with
 their own ``+``, ``*`` and ``**``: ``Element``'s for ``parse_element``,
@@ -21,6 +21,7 @@ from .poly import CubicPoly, fold_exponent, reduce_poly
 
 MAX_INT = 10**6
 DIGITS = "0123456789"
+WHITESPACE = " \t\n\r\f\v"
 # Deepest nesting of parentheses and chained powers; the parser recurses
 # once per level, so this keeps it far from Python's recursion limit.
 MAX_DEPTH = 100
@@ -52,7 +53,7 @@ def _tokenize(text: str, allow_var: bool) -> list[tuple]:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
+        if ch in WHITESPACE:
             i += 1
             continue
         if ch in "+*^()":

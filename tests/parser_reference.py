@@ -6,8 +6,10 @@ test reference for ``cyclechain.parser``.
 malformed expressions with both and compares the values, or the
 exception types and messages.  The code below is the old module's,
 unchanged but for its imports.  The old tokenizer read any Unicode digit
-and passed every digit run to ``int()``; inputs with such runs are the
-only ones on which the two parsers may differ.
+and passed every digit run to ``int()``, and it skipped any character
+that ``str.isspace`` accepts where the new one skips only ASCII
+whitespace; inputs with such runs or such characters are the only ones
+on which the two parsers may differ.
 """
 
 from __future__ import annotations

@@ -25,15 +25,12 @@ from cyclechain.lattice import (
     FiniteLattice,
     Interval,
     atom_for,
-    atoms,
-    atoms_below,
     divisor_lattice,
     divisors,
-    from_atoms,
-    norm,
     ones,
-    semilattice_algebra,
 )
+
+from algebra_reference import atoms, atoms_below, from_atoms, norm, semilattice_algebra
 
 from test_cold_setup import ref_atom_mask
 from test_lattice import HEX_ELEMENTS, HEX_LEQ

@@ -374,12 +374,9 @@ class TestDivideFullRestricted:
         # division partition its members inside the 15-divisor algebra
         from cyclechain.cycles import OddSet
         from cyclechain.division import solve
-        from cyclechain.lattice import (
-            BoolElem,
-            Interval,
-            divisor_lattice,
-            interval_parity_split,
-        )
+        from cyclechain.lattice import BoolElem, Interval, divisor_lattice
+
+        from algebra_reference import interval_parity_split
 
         lat = divisor_lattice(15)
         seen = 0

@@ -44,12 +44,12 @@ from cyclechain.lattice import (
     Interval,
     divisor_lattice,
     divisors,
-    interval_parity_split,
     ones,
     submasks,
     window_bits,
 )
 from cyclechain.poly import CubicPoly, eval_poly, is_reachable
+from algebra_reference import interval_parity_split
 from conftest import assert_canonical
 from set_reference import solve_sets
 

@@ -11,7 +11,6 @@ from cyclechain.oracle import (
     Digraph,
     SearchSpace,
     closed_form_product,
-    component_keys,
     decompose,
     digraph_from_components,
     digraph_from_element,
@@ -29,6 +28,7 @@ from cyclechain.oracle import (
 
 from cyclechain.lattice import divisor_lattice, ones
 
+from algebra_reference import component_keys
 from conftest import rand_element
 
 C = CycleSum.single

@@ -84,7 +84,8 @@ class TestParse:
 
 class TestTokenizer:
     """Lengths and exponents are runs of ASCII digits; ``int()`` reads only
-    runs with at most seven significant digits."""
+    runs with at most seven significant digits.  Only ASCII whitespace is
+    skipped."""
 
     LONG = "1" * 5000
 
@@ -99,6 +100,9 @@ class TestTokenizer:
             ("C3 + " + "0" * 5000 + LONG, f"integer {LONG} exceeds the limit 1000000 (at offset 5)"),
             ("C3 + L" + "0" * 5000, "L0 is not a valid atom (at offset 5)"),
             ("C3 + L" + "0" * 5000 + "10000000", "length 10000000 exceeds the limit 1000000 (at offset 5)"),
+            ("C3\u3000+\x1cC5", "unexpected character '\\u3000' (at offset 2)"),
+            ("C3 +\u00a0C5", "unexpected character '\\xa0' (at offset 4)"),
+            ("C3 +\x1cC5", "unexpected character '\\x1c' (at offset 4)"),
         ],
     )
     def test_refused_with_offset(self, text, message):
@@ -106,6 +110,10 @@ class TestTokenizer:
             with pytest.raises(ParseError) as err:
                 parse_text(text)
             assert str(err.value) == message
+
+    def test_ascii_whitespace_is_skipped(self):
+        assert parse(" \t\n\r\f\vC3\t+\n\r\f\vC5 ") == parse("C3 + C5")
+        assert parse_poly("x\v^\f2\r+\nC3") == parse_poly("x^2 + C3")
 
     def test_leading_zeros_are_read_past(self):
         assert parse("C" + "0" * 5000 + "7") == parse("C7")
@@ -131,6 +139,9 @@ class TestTokenizer:
             ("C\u00b3", "error: expected a length after 'C' (at offset 0)\n"),
             ("C\u0663 + C5", "error: expected a length after 'C' (at offset 0)\n"),
             ("C" + LONG, f"error: length {LONG} exceeds the limit 1000000 (at offset 0)\n"),
+            ("C3\u3000+\x1cC5", "error: unexpected character '\\u3000' (at offset 2)\n"),
+            ("C3 +\u00a0C5", "error: unexpected character '\\xa0' (at offset 4)\n"),
+            ("C3 +\x1cC5", "error: unexpected character '\\x1c' (at offset 4)\n"),
         ],
     )
     def test_eval_exits_2(self, capsys, text, message):

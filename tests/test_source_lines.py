@@ -31,6 +31,13 @@ No code that runs at import subscripts a ``typing`` form, as in
 through its classes the cache would keep each module of that import alive
 after the package is dropped and imported again.  Annotations do not run
 in a module that imports ``annotations`` from ``__future__``.
+
+Every module-level definition of ``src/`` is reached from outside the
+tests: another part of the package uses it, ``bench/`` names it, it is the
+``cyclechain`` script or it is in ``cyclechain.__all__``.  What only the
+tests use belongs in a test reference module such as
+``tests/algebra_reference.py``, where no set-up compiles it.  The one
+exception, with its reason, is on ``ALLOWED_UNREACHED``.
 """
 
 import ast
@@ -187,3 +194,107 @@ def test_the_typing_rule_sees_only_code_that_runs():
     )
     assert typing_subscripts_at_import(source) == [4, 7, 12]
     assert typing_subscripts_at_import("from typing import Optional\ndef f(x: Optional[int]): pass\n") == [2]
+
+
+BENCH = SRC.parent / "bench"
+# Reached from outside ``src/`` and ``bench/`` only, each with its reason.
+ALLOWED_UNREACHED = {
+    ("structure", "coregular_representative"): "the acceptance tests call it",
+}
+# The ``cyclechain`` script of pyproject.toml.
+ENTRY_POINTS = {("cli", "main")}
+
+
+def module_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level defs, classes and assigned names of a module, each
+    with the statement that defines it; dunder names are left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return {name: node for name, node in out.items() if not name.startswith("__")}
+
+
+def unreached(modules: dict[str, str], outside: list[str], exported: set[str]) -> set[tuple[str, str]]:
+    """(module, name) for each module-level definition of the package
+    ``modules`` (name -> source) that no other part of the package uses,
+    that no source in ``outside`` names, and that ``exported`` does not
+    hold.
+
+    Inside the package a use is a load of the name in its own module
+    outside its definition, ``from .m import name`` in any module, or
+    ``m.name`` where ``m`` is bound to the module by ``from . import m``.
+    Outside it, any name, attribute or imported name counts.
+    """
+    trees = {m: ast.parse(source) for m, source in modules.items()}
+    used = set()
+    for m, tree in trees.items():
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        used.add((node.module, alias.name))
+                    else:
+                        bound[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                used.add((bound[node.value.id], node.attr))
+        for name, definition in module_definitions(tree).items():
+            inside = set(map(id, ast.walk(definition)))
+            loads = (
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+            )
+            if any(node.id == name for node in loads):
+                used.add((m, name))
+    named = set(exported)
+    for source in outside:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return {
+        (m, name)
+        for m, tree in trees.items()
+        for name in module_definitions(tree)
+        if (m, name) not in used and name not in named
+    }
+
+
+def test_no_definition_only_tests_reach():
+    package = SRC / "cyclechain"
+    modules = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    outside = [path.read_text() for path in sorted(BENCH.rglob("*.py"))]
+    exported = set(ast.literal_eval(next(
+        node.value
+        for node in ast.parse(modules["__init__"]).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    )))
+    assert unreached(modules, outside, exported) - ENTRY_POINTS == set(ALLOWED_UNREACHED)
+
+
+def test_the_reach_rule_sees_each_kind_of_use():
+    modules = {
+        "a": "from .b import used\nfrom . import c as cm\n"
+        "def helper():\n    return helper()\n"
+        "def caller():\n    return cm.attr\n"
+        "LIMIT = 3\nLEFT = 4\n"
+        "def f(x=LIMIT):\n    pass\n",
+        "b": "def used():\n    pass\ndef unused():\n    pass\nclass Exported:\n    pass\n",
+        "c": "attr = 1\nbench_name = 2\n",
+    }
+    outside = ["import m\nm.bench_name\n"]
+    assert unreached(modules, outside, {"Exported"}) == {
+        ("a", "helper"), ("a", "caller"), ("a", "LEFT"), ("a", "f"), ("b", "unused")
+    }
